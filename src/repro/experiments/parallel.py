@@ -13,9 +13,8 @@ scenario, optionally
   figure, cells are dispatched with chunked ``imap_unordered`` so slow cells
   (N=500 reference runs) do not serialise behind fast ones, and each worker
   keeps a per-topology cache of the medium's frozen PRR/interference tables
-  (a pure function of positions and the propagation model), so the dense
-  N x N precompute is paid once per distinct topology per worker rather than
-  once per cell;
+  (a pure function of positions and the propagation model), so cells of
+  one topology share one set of dense N x N tables;
 * memoising each result on disk under a content hash of the scenario, so
   re-running a figure, extending a sweep, or adding seeds only simulates the
   cells that have never been run before.  Cache keys are untouched by the
@@ -65,8 +64,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
 #: Per-process cache of frozen-medium snapshots, keyed by a content hash of
-#: (topology, propagation model).  Bounded: scale sweeps hold dense N x N
-#: tables (several MB at N=500), so only the most recent topologies stay.
+#: (topology, propagation model).  Freezing costs O(N*k) propagation calls
+#: for models with a cut-off range, so the cache now mostly saves the
+#: allocation of the dense N x N tables: adopters share the snapshot's rows
+#: and numpy matrices instead of building their own.  Bounded: the tables
+#: take several MB at N=500, so only the most recent topologies stay.
 _FREEZE_CACHE: dict[str, dict] = {}
 _FREEZE_CACHE_MAX = 8
 

@@ -130,7 +130,8 @@ class Network:
         #: every node; rebuilt whenever any schedule version changes.
         self._active_index: dict[int, list[int]] = {}
         self._active_index_dirty = True
-        #: Flat node list, kept in sync with :attr:`nodes` (hot-loop iteration).
+        #: Flat node list in :attr:`nodes` insertion order (hot-loop iteration);
+        #: append-only, like :attr:`nodes` itself.
         self._node_list: list[Node] = []
         self._single_length = 0
         self._single_offsets: list[int] = []
@@ -222,8 +223,8 @@ class Network:
         self.medium.register_node(node_id, position)
         self._dirty_nodes.add(node)
         self._active_index_dirty = True
-        self._node_list = list(self.nodes.values())
-        self._node_order = {n.node_id: i for i, n in enumerate(self._node_list)}
+        self._node_order[node_id] = len(self._node_list)
+        self._node_list.append(node)
         return node
 
     def build_from_topology(

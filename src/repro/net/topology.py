@@ -45,8 +45,48 @@ class TopologyBuilder:
 
     nodes: list[NodeSpec] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._reindex()
+
+    def _reindex(self) -> None:
+        # Node id -> position of its first spec in ``nodes``, covering
+        # ``nodes[:_indexed]`` of the list object ``_indexed_list``.  Plain
+        # attributes, not dataclass fields, so equality, repr and scenario
+        # fingerprints ignore them.
+        self._index: dict[int, int] = {}
+        self._indexed = 0
+        self._indexed_list: list[NodeSpec] = self.nodes
+
+    def __getstate__(self) -> dict:
+        # Scenarios ship topologies to pool workers: rebuild the index there
+        # rather than pickling it.
+        return {"nodes": self.nodes}
+
+    def __setstate__(self, state: dict) -> None:
+        self.nodes = state["nodes"]
+        self._reindex()
+
+    def _position(self, node_id: int) -> Optional[int]:
+        """Position of ``node_id``'s spec in :attr:`nodes` (None if absent).
+
+        The index catches up with specs appended to ``nodes`` directly, and
+        starts over when the list is replaced, shrinks, or a hit no longer
+        names ``node_id`` (an entry replaced or renamed in place).
+        """
+        nodes = self.nodes
+        if nodes is not self._indexed_list or len(nodes) < self._indexed:
+            self._reindex()
+        for position in range(self._indexed, len(nodes)):
+            self._index.setdefault(nodes[position].node_id, position)
+        self._indexed = len(nodes)
+        position = self._index.get(node_id)
+        if position is not None and nodes[position].node_id != node_id:
+            self._reindex()
+            return self._position(node_id)
+        return position
+
     def add(self, spec: NodeSpec) -> NodeSpec:
-        if any(existing.node_id == spec.node_id for existing in self.nodes):
+        if self._position(spec.node_id) is not None:
             raise ValueError(f"duplicate node id {spec.node_id}")
         self.nodes.append(spec)
         return spec
@@ -58,10 +98,14 @@ class TopologyBuilder:
         return [spec.node_id for spec in self.nodes]
 
     def spec(self, node_id: int) -> NodeSpec:
-        for candidate in self.nodes:
-            if candidate.node_id == node_id:
-                return candidate
-        raise KeyError(node_id)
+        position = self._position(node_id)
+        if position is None:
+            # Rare here, so rule out an in-place edit before failing.
+            self._reindex()
+            position = self._position(node_id)
+        if position is None:
+            raise KeyError(node_id)
+        return self.nodes[position]
 
     def parent_map(self) -> dict[int, Optional[int]]:
         return {spec.node_id: spec.parent for spec in self.nodes}

@@ -20,6 +20,7 @@ nothing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
 
@@ -98,6 +99,40 @@ class TransmissionResult:
         )
 
 
+def _candidate_columns(
+    positions: Sequence[Position], cutoff: Optional[float]
+) -> list[list[int]]:
+    """Per node index, the ascending node indices :meth:`Medium.freeze` queries.
+
+    With a usable ``cutoff`` the nodes are bucketed into square cells a hair
+    wider than it -- the margin covers float rounding in the distance and
+    cell arithmetic, relative to both the cut-off and the largest coordinate
+    -- so two nodes within the cut-off are never more than one cell apart,
+    and a node's candidates are the members of its own cell and the eight
+    around it.  Nodes of one cell share one list.  Without a cut-off (or
+    with non-finite coordinates) every node is a candidate of every other.
+    """
+    everyone = list(range(len(positions)))
+    extent = max((abs(c) for position in positions for c in position), default=0.0)
+    cell = math.inf if cutoff is None else cutoff * (1.0 + 1e-9) + extent * 1e-12
+    if not 0.0 < cell < math.inf:
+        return [everyone] * len(positions)
+    keys = [(math.floor(x / cell), math.floor(y / cell)) for x, y in positions]
+    members: dict[tuple[int, int], list[int]] = {}
+    for index, key in enumerate(keys):
+        members.setdefault(key, []).append(index)
+    nearby = {
+        (cx, cy): sorted(
+            index
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for index in members.get((cx + dx, cy + dy), ())
+        )
+        for cx, cy in members
+    }
+    return [nearby[key] for key in keys]
+
+
 class Medium:
     """The shared radio medium: positions, propagation, per-slot arbitration."""
 
@@ -165,8 +200,9 @@ class Medium:
         #: Dense float64 PRR matrix, same indexing.  Unlike ``_np_interf``
         #: it is also an *RNG comparison* input on the batched broadcast
         #: path, which stays bit-identical because float64 round-trips the
-        #: list values exactly; it is rebuilt whenever ``_prr_rows`` is
-        #: replaced (freeze, adopt, link-degradation epochs).
+        #: list values exactly.  Freeze scatters the row values into it,
+        #: adopters share the snapshot's copy, and link-degradation epochs
+        #: rebuild it from the replaced ``_prr_rows``.
         self._np_prr = None
         #: Counters for diagnostics / tests.
         self.total_transmissions = 0
@@ -206,47 +242,64 @@ class Medium:
 
         Called when the topology is final (the network does this on
         :meth:`~repro.net.network.Network.start`): one pass fills dense N x N
-        PRR and interference tables plus the default neighbor lists, so the
-        hot arbitration path never hits the lazy per-pair dict-miss path and
-        benchmarks see no cold-start jitter from first-use propagation
-        queries.  Registering (or moving) a node un-freezes the medium; the
-        values are exactly what the lazy path would have computed, so freezing
-        never changes simulation results.
+        PRR and interference tables plus the default neighbor lists and
+        audiences, so the hot arbitration path never hits the lazy per-pair
+        dict-miss path.  Rows start as ``0.0`` / ``False`` and only
+        *candidate* pairs are queried: when the propagation model states a
+        :meth:`~repro.phy.propagation.PropagationModel.cutoff_range`, nodes
+        are bucketed into grid cells just wider than it and a node's
+        candidates are the nodes in its own and the eight surrounding cells
+        (see :func:`_candidate_columns`), so setup costs O(N*k) propagation
+        calls for k nodes within range instead of N^2.  Every other pair is
+        provably out of range, which is exactly what the zero-filled rows
+        hold; models without a cut-off query every pair.  Candidates are
+        visited in id-index order, so the tables, neighbor lists and
+        audiences are exactly what the lazy path would have computed and
+        freezing never changes simulation results.  Registering (or moving)
+        a node un-freezes the medium.
         """
         if self._frozen:
             return
         ids = list(self._positions)
+        count = len(ids)
+        positions = list(self._positions.values())
         self._ids = ids
         self._index_of = {node_id: index for index, node_id in enumerate(ids)}
         prr = self.propagation.prr
         in_range = self.propagation.in_interference_range
-        for a in ids:
-            position_a = self._positions[a]
-            prr_row: list[float] = []
-            interf_row: list[bool] = []
-            for b in ids:
-                if a == b:
-                    prr_row.append(0.0)
-                    interf_row.append(False)
-                else:
-                    prr_row.append(prr(position_a, self._positions[b]))
-                    interf_row.append(in_range(position_a, self._positions[b]))
+        np_prr = np_interf = None
+        if _np is not None and ids:
+            np_prr = _np.zeros((count, count))
+            np_interf = _np.zeros((count, count), dtype=bool)
+        candidates = _candidate_columns(positions, self.propagation.cutoff_range())
+        for index, a in enumerate(ids):
+            position_a = positions[index]
+            columns = candidates[index]
+            prr_row = [0.0] * count
+            interf_row = [False] * count
+            neighbors: list[int] = []
+            audience: list[int] = []
+            for column in columns:
+                if column == index:
+                    continue
+                position_b = positions[column]
+                value = prr(position_a, position_b)
+                heard = in_range(position_a, position_b)
+                prr_row[column] = value
+                interf_row[column] = heard
+                if value > 0.0:
+                    neighbors.append(ids[column])
+                if heard:
+                    audience.append(ids[column])
             self._prr_rows[a] = prr_row
             self._interf_rows[a] = interf_row
-        for a in ids:
-            row = self._prr_rows[a]
-            self._neighbors_cache[(a, 0.0)] = [
-                b for index, b in enumerate(ids) if b != a and row[index] > 0.0
-            ]
-            interf_row = self._interf_rows[a]
-            self._audience[a] = frozenset(
-                b for index, b in enumerate(ids) if interf_row[index]
-            )
-        if _np is not None and ids:
-            self._np_interf = _np.array(
-                [self._interf_rows[a] for a in ids], dtype=bool
-            )
-            self._rebuild_np_prr()
+            self._neighbors_cache[(a, 0.0)] = neighbors
+            self._audience[a] = frozenset(audience)
+            if np_prr is not None and np_interf is not None:
+                np_prr[index, columns] = [prr_row[column] for column in columns]
+                np_interf[index, columns] = [interf_row[column] for column in columns]
+        self._np_prr = np_prr
+        self._np_interf = np_interf
         self._frozen = True
 
     def export_frozen(self) -> dict:
@@ -257,7 +310,8 @@ class Medium:
         seed any other network with the same topology and model -- the sweep
         engine's workers use this to freeze each distinct topology once per
         process instead of once per scenario cell.  The snapshot shares the
-        row lists; callers must treat them as read-only (the simulator does).
+        row lists and numpy matrices; callers must treat them as read-only
+        (the simulator does: epochs build new rows and a new ``_np_prr``).
         """
         if not self._frozen:
             raise RuntimeError("export_frozen() requires a frozen medium")
@@ -273,6 +327,8 @@ class Medium:
             "interf_rows": self._interf_rows,
             "audience": self._audience,
             "neighbors": {key: value for key, value in self._neighbors_cache.items()},
+            "np_interf": self._np_interf,
+            "np_prr": self._np_prr,
             # Epoch stamp: snapshots are only ever taken at pristine tables
             # (enforced above), so adopters can assert the stamp to prove the
             # warm-pool frozen cache was never fed a mid-epoch table.
@@ -300,13 +356,8 @@ class Medium:
         # Snapshots are always pristine (export_frozen refuses mid-epoch
         # tables), so the adopter starts a fresh epoch history of its own.
         self._link_epoch = 0
-        if _np is not None and self._ids:
-            # Rebuilt locally rather than shipped in the snapshot, keeping
-            # exported state portable to numpy-less interpreters.
-            self._np_interf = _np.array(
-                [self._interf_rows[a] for a in self._ids], dtype=bool
-            )
-            self._rebuild_np_prr()
+        self._np_interf = state["np_interf"]
+        self._np_prr = state["np_prr"]
         self._frozen = True
         return True
 
@@ -415,11 +466,11 @@ class Medium:
             self._rebuild_np_prr()
 
     def _rebuild_np_prr(self) -> None:
-        """Mirror ``_prr_rows`` into the dense numpy table (frozen media).
+        """Mirror ``_prr_rows`` into a new dense numpy table (epochs).
 
         Always rebuilt *from* the list rows so every batched comparison uses
         bit-exact copies of the reference values, including mid-epoch scaled
-        rows.
+        rows; never written in place, since snapshots share the old table.
         """
         self._np_prr = _np.array(
             [self._prr_rows[a] for a in self._ids], dtype=float

@@ -15,6 +15,10 @@ All models answer two questions about an ordered pair of positions:
 * ``in_interference_range(a, b)`` -- whether energy from a transmitter at
   ``a`` is strong enough at ``b`` to corrupt another reception (even if it is
   too weak to be decoded).
+
+Distance-based models also state a ``cutoff_range()``: beyond it both answers
+are provably "nothing", which lets :meth:`repro.phy.medium.Medium.freeze`
+query only nearby pairs.
 """
 
 from __future__ import annotations
@@ -45,6 +49,14 @@ class PropagationModel:
     def in_communication_range(self, a: Position, b: Position) -> bool:
         """Whether a frame from ``a`` has a non-negligible chance of decoding at ``b``."""
         return self.prr(a, b) > 0.0
+
+    def cutoff_range(self) -> Optional[float]:
+        """Distance beyond which ``prr`` is 0 and no interference is possible.
+
+        ``None`` (the default, e.g. for position-keyed tables) means no such
+        distance is known, so every pair must be queried.
+        """
+        return None
 
 
 @dataclass
@@ -89,6 +101,9 @@ class UnitDiskLossyEdgeModel(PropagationModel):
     def in_interference_range(self, a: Position, b: Position) -> bool:
         return distance(a, b) <= self.interference_range
 
+    def cutoff_range(self) -> Optional[float]:
+        return self.interference_range
+
 
 @dataclass
 class LogisticPrrModel(PropagationModel):
@@ -108,13 +123,39 @@ class LogisticPrrModel(PropagationModel):
     #: PRRs below this value are clamped to zero (link considered unusable).
     prr_floor: float = 0.01
 
+    def __post_init__(self) -> None:
+        if not self.steepness > 0.0:
+            raise ValueError("steepness must be > 0")
+        if not (0.0 <= self.prr_floor <= self.prr_max <= 1.0):
+            raise ValueError("PRRs must satisfy 0 <= prr_floor <= prr_max <= 1")
+        if not self.interference_range > 0.0:
+            raise ValueError("interference_range must be > 0")
+
     def prr(self, a: Position, b: Position) -> float:
         d = distance(a, b)
-        value = self.prr_max / (1.0 + math.exp(self.steepness * (d - self.midpoint)))
+        try:
+            value = self.prr_max / (1.0 + math.exp(self.steepness * (d - self.midpoint)))
+        except OverflowError:  # far beyond the midpoint the curve is 0
+            return 0.0
         return value if value >= self.prr_floor else 0.0
 
     def in_interference_range(self, a: Position, b: Position) -> bool:
         return distance(a, b) <= self.interference_range
+
+    def cutoff_range(self) -> Optional[float]:
+        if self.prr_floor <= 0.0:
+            return None  # the curve never reaches zero
+        # Analytic crossing of the floor, then stepped outwards until the
+        # float evaluation itself is clamped: the curve is monotone in d,
+        # so every longer distance is clamped too.
+        ratio = self.prr_max / self.prr_floor - 1.0
+        d = self.midpoint + (math.log(ratio) / self.steepness if ratio > 0.0 else 0.0)
+        d = max(d, 0.0)
+        step = max(d, 1.0) * 1e-12
+        while self.prr((0.0, 0.0), (d, 0.0)) != 0.0:
+            d += step
+            step *= 2.0
+        return max(self.interference_range, d)
 
 
 class FixedPrrModel(PropagationModel):

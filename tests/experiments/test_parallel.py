@@ -278,6 +278,9 @@ class TestFreezeCache:
         assert second.medium._prr_rows == fresh.medium._prr_rows
         assert second.medium._interf_rows == fresh.medium._interf_rows
         assert second.medium._audience == fresh.medium._audience
+        if fresh.medium._np_prr is not None:
+            assert second.medium._np_prr.tobytes() == fresh.medium._np_prr.tobytes()
+            assert second.medium._np_interf.tobytes() == fresh.medium._np_interf.tobytes()
 
     def test_mismatched_snapshot_is_rejected(self):
         scenario = fast_scenario()

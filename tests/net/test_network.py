@@ -22,6 +22,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             network.add_node(0, (1.0, 0.0), MinimalScheduler())
 
+    def test_node_order_follows_insertion(self):
+        network = Network(seed=1)
+        for node_id in (5, 2, 9):
+            network.add_node(node_id, (float(node_id), 0.0), MinimalScheduler(), is_root=node_id == 5)
+        with pytest.raises(ValueError):
+            network.add_node(2, (0.0, 0.0), MinimalScheduler())
+        assert network._node_list == list(network.nodes.values())
+        assert network._node_order == {5: 0, 2: 1, 9: 2}
+
     def test_build_from_topology_warm_start(self):
         network = make_gt_network(star_topology(3))
         assert len(network) == 4

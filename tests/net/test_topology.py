@@ -1,6 +1,7 @@
 """Tests for topology builders."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -51,6 +52,38 @@ class TestTopologyBuilder:
         assert topo.spec(1).parent == 0
         with pytest.raises(KeyError):
             topo.spec(99)
+
+    def test_spec_lookup_sees_direct_appends(self):
+        topo = line_topology(3)
+        assert topo.spec(2).depth == 2
+        topo.nodes.append(NodeSpec(node_id=7, position=(5, 5), parent=2, depth=3))
+        assert topo.spec(7).parent == 2
+        with pytest.raises(ValueError):
+            topo.add(NodeSpec(node_id=7, position=(6, 6)))
+
+    def test_spec_lookup_survives_list_edits(self):
+        topo = line_topology(4)
+        assert topo.spec(3).depth == 3
+        del topo.nodes[1]
+        assert topo.spec(3).depth == 3
+        with pytest.raises(KeyError):
+            topo.spec(1)
+        topo.nodes[0] = NodeSpec(node_id=9, position=(0, 0), is_root=True)
+        assert topo.spec(9).is_root
+        topo.nodes = [NodeSpec(node_id=4, position=(1, 1))]
+        assert topo.spec(4).position == (1, 1)
+        with pytest.raises(KeyError):
+            topo.spec(3)
+
+    def test_index_is_not_part_of_equality_repr_or_pickle(self):
+        built = TopologyBuilder()
+        built.add(NodeSpec(node_id=0, position=(0, 0), is_root=True))
+        built.spec(0)
+        plain = TopologyBuilder(nodes=[NodeSpec(node_id=0, position=(0, 0), is_root=True)])
+        assert built == plain
+        assert repr(built) == repr(plain)
+        assert pickle.dumps(built) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(built)).spec(0).is_root
 
     def test_initial_rank(self):
         topo = line_topology(3)

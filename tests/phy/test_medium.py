@@ -3,10 +3,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
+from repro.net.topology import scale_topology
 from repro.phy.medium import Medium, TransmissionIntent
-from repro.phy.propagation import FixedPrrModel, UnitDiskLossyEdgeModel
+from repro.phy.propagation import (
+    FixedPrrModel,
+    LogisticPrrModel,
+    PropagationModel,
+    UnitDiskLossyEdgeModel,
+    distance,
+)
 
 
 def perfect_medium(positions, interference_pairs=None):
@@ -194,6 +202,22 @@ class TestFreeze:
         medium.freeze()
         assert medium.link_prr(0, 4) > 0.0
 
+    def test_adopter_epochs_leave_the_shared_snapshot_intact(self):
+        donor = self._medium()
+        donor.freeze()
+        snapshot = donor.export_frozen()
+        shared_np = snapshot["np_prr"]
+        before = None if shared_np is None else shared_np.tobytes()
+        adopter = self._medium()
+        assert adopter.adopt_frozen(snapshot)
+        adopter.set_prr_scale(0.5)
+        assert adopter.link_prr(0, 1) == 0.5 * donor.link_prr(0, 1)
+        assert snapshot["prr_rows"] is donor._prr_rows
+        if shared_np is not None:
+            assert adopter._np_prr is not shared_np
+            assert shared_np.tobytes() == before
+            assert adopter._np_prr[0, 1] == adopter.link_prr(0, 1)
+
     def test_audience_of_is_the_interference_neighbourhood(self):
         medium = self._medium()
         medium.freeze()
@@ -294,3 +318,148 @@ class TestVectorisedSameChannelResolve:
                     )
                 )
             assert outcomes[0] == outcomes[1], f"seed {seed}"
+
+
+class RingModel(PropagationModel):
+    """A custom model that states no cut-off: PRR 0.8 on an annulus only."""
+
+    def prr(self, a, b):
+        return 0.8 if 20.0 <= distance(a, b) <= 40.0 else 0.0
+
+    def in_interference_range(self, a, b):
+        return distance(a, b) <= 40.0
+
+
+def _fixed_model(points):
+    """A FixedPrrModel with a few explicit links among ``points``."""
+    model = FixedPrrModel(default_prr=0.0)
+    for a, b in zip(points, points[1:]):
+        if a != b:
+            model.set_link(a, b, 0.6)
+    if len(points) > 2 and points[0] != points[2]:
+        model.add_interference(points[0], points[2])
+    return model
+
+
+MODELS = {
+    "unit-disk": lambda points: UnitDiskLossyEdgeModel(),
+    "unit-disk-narrow": lambda points: UnitDiskLossyEdgeModel(
+        reliable_range=5.0, communication_range=15.0, interference_range=20.0
+    ),
+    "logistic": lambda points: LogisticPrrModel(),
+    "logistic-wide-curve": lambda points: LogisticPrrModel(
+        midpoint=60.0, steepness=0.1, interference_range=30.0
+    ),
+    "fixed": _fixed_model,
+    "custom-no-cutoff": lambda points: RingModel(),
+}
+
+
+def all_pairs_tables(model, positions):
+    """Reference tables: query the model for every ordered pair."""
+    ids = list(positions)
+    prr_rows, interf_rows, neighbors, audience = {}, {}, {}, {}
+    for a in ids:
+        prr_rows[a] = [
+            0.0 if a == b else model.prr(positions[a], positions[b]) for b in ids
+        ]
+        interf_rows[a] = [
+            False if a == b else model.in_interference_range(positions[a], positions[b])
+            for b in ids
+        ]
+        neighbors[(a, 0.0)] = [
+            b for index, b in enumerate(ids) if b != a and prr_rows[a][index] > 0.0
+        ]
+        audience[a] = frozenset(
+            b for index, b in enumerate(ids) if interf_rows[a][index]
+        )
+    return prr_rows, interf_rows, neighbors, audience
+
+
+# Coordinates on a 7 m lattice (plus a jitter that keeps some exact): the
+# unit-disk cut-off of 70 m and the 20 m narrow model's are hit exactly by
+# lattice pairs such as (0, 0)-(70, 0) and (-42, 0)-(0, 56).
+_coordinate = st.builds(
+    lambda step, jitter: 7.0 * step + jitter,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([0.0, 0.0, 0.5, -1e-9, 1e-9]),
+)
+_layout = st.lists(st.tuples(_coordinate, _coordinate), min_size=0, max_size=40)
+
+
+class TestGridFreeze:
+    """Grid-bucketed freeze must match an all-pairs pass table for table."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(model_name=st.sampled_from(sorted(MODELS)), points=_layout)
+    @example(model_name="unit-disk", points=[(0.0, 0.0), (70.0, 0.0), (-42.0, 0.0), (0.0, 56.0)])
+    @example(model_name="unit-disk", points=[(-70.0, -70.0), (0.0, -70.0), (0.0, 0.0), (0.0, 0.0)])
+    @example(model_name="unit-disk-narrow", points=[(0.0, 0.0), (20.0, 0.0), (-12.0, -16.0)])
+    @example(model_name="logistic", points=[(5.0, 5.0), (5.0, 5.0), (85.0, 5.0), (-75.0, 5.0)])
+    def test_matches_all_pairs_reference(self, model_name, points):
+        model = MODELS[model_name](points)
+        # Ids deliberately out of order with positions, so index != id.
+        positions = {(7 * index) % 101: point for index, point in enumerate(points)}
+        medium = Medium(model, random.Random(0))
+        for node_id, position in positions.items():
+            medium.register_node(node_id, position)
+        medium.freeze()
+
+        prr_rows, interf_rows, neighbors, audience = all_pairs_tables(model, positions)
+        assert medium._ids == list(positions)
+        assert medium._prr_rows == prr_rows
+        assert list(medium._prr_rows) == list(prr_rows)
+        assert medium._interf_rows == interf_rows
+        assert medium._neighbors_cache == neighbors
+        assert list(medium._neighbors_cache) == list(neighbors)
+        assert medium._audience == audience
+        # Same insertion order, hence the same frozenset iteration order.
+        for node_id, members in audience.items():
+            assert list(medium._audience[node_id]) == list(members)
+        if medium._np_prr is not None:
+            import numpy
+
+            ids = medium._ids
+            expected_prr = numpy.array([prr_rows[a] for a in ids], dtype=float)
+            expected_interf = numpy.array([interf_rows[a] for a in ids], dtype=bool)
+            assert medium._np_prr.tobytes() == expected_prr.tobytes()
+            assert medium._np_interf.tobytes() == expected_interf.tobytes()
+
+    def test_models_without_cutoff_query_every_pair(self):
+        class CountingFixed(FixedPrrModel):
+            calls = 0
+
+            def in_interference_range(self, a, b):
+                self.calls += 1
+                return super().in_interference_range(a, b)
+
+        model = CountingFixed(default_prr=0.0)
+        assert model.cutoff_range() is None
+        medium = Medium(model, random.Random(0))
+        for spec in scale_topology(60):
+            medium.register_node(spec.node_id, spec.position)
+        medium.freeze()
+        assert model.calls == 60 * 59
+
+    def test_prr_queries_grow_linearly_on_scale_topology(self):
+        """Deterministic work-count gate: doubling N at most ~doubles the
+        propagation queries (the all-pairs pass would quadruple them)."""
+
+        class CountingUnitDisk(UnitDiskLossyEdgeModel):
+            calls = 0
+
+            def prr(self, a, b):
+                self.calls += 1
+                return super().prr(a, b)
+
+        def prr_calls(num_nodes):
+            model = CountingUnitDisk()
+            medium = Medium(model, random.Random(0))
+            for spec in scale_topology(num_nodes):
+                medium.register_node(spec.node_id, spec.position)
+            medium.freeze()
+            return model.calls
+
+        small, large = prr_calls(500), prr_calls(1000)
+        assert small < 500 * 499 // 10
+        assert large <= 2.2 * small, (small, large)
