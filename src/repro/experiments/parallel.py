@@ -12,9 +12,9 @@ scenario, optionally
   figure sweeps reuse warm workers instead of forking a fresh pool per
   figure, cells are dispatched with chunked ``imap_unordered`` so slow cells
   (N=500 reference runs) do not serialise behind fast ones, and each worker
-  keeps a per-topology cache of the medium's frozen PRR/interference tables
+  keeps a per-topology cache of the medium's frozen PRR/interference maps
   (a pure function of positions and the propagation model), so cells of
-  one topology share one set of dense N x N tables;
+  one topology share one set of maps;
 * memoising each result on disk under a content hash of the scenario, so
   re-running a figure, extending a sweep, or adding seeds only simulates the
   cells that have never been run before.  Cache keys are untouched by the
@@ -66,9 +66,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Per-process cache of frozen-medium snapshots, keyed by a content hash of
 #: (topology, propagation model).  Freezing costs O(N*k) propagation calls
 #: for models with a cut-off range, so the cache now mostly saves the
-#: allocation of the dense N x N tables: adopters share the snapshot's rows
-#: and numpy matrices instead of building their own.  Bounded: the tables
-#: take several MB at N=500, so only the most recent topologies stay.
+#: allocation of the per-sender maps: adopters share the snapshot's maps
+#: instead of building their own.  Bounded: only the most recent
+#: topologies stay.
 _FREEZE_CACHE: dict[str, dict] = {}
 _FREEZE_CACHE_MAX = 8
 
@@ -79,7 +79,7 @@ LAST_QUEUE_STATS: Optional[dict] = None
 
 
 def _freeze_key(scenario: Scenario) -> str:
-    """Content hash of everything the frozen medium tables depend on."""
+    """Content hash of everything the frozen medium maps depend on."""
     from repro.phy.propagation import UnitDiskLossyEdgeModel
 
     propagation = scenario.propagation or UnitDiskLossyEdgeModel()
@@ -94,7 +94,7 @@ def _freeze_key(scenario: Scenario) -> str:
 def _warm_freeze(network, scenario: Scenario) -> None:
     """Freeze the network's medium, reusing this process's per-topology cache.
 
-    Frozen tables are deterministic in (positions, propagation model), so
+    Frozen maps are deterministic in (positions, propagation model), so
     adopting a cached snapshot is bit-identical to freezing from scratch.
     """
     key = _freeze_key(scenario)

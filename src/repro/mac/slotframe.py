@@ -6,19 +6,39 @@ run several slotframes simultaneously (Orchestra runs three); when cells from
 different slotframes coincide at the same ASN, the TSCH engine breaks the tie
 by slotframe handle then by cell priority, mirroring Contiki-NG behaviour.
 
-Cells are stored in a dense per-offset lookup table, so :meth:`cells_at` is a
-single O(1) index with no allocation -- it runs for every node at every
-simulated timeslot.  Every mutation bumps :attr:`version`, which the TSCH
-engine and the network's slot-skipping kernel use to invalidate their derived
-schedule caches (sorted active-cell lists, active-offset indexes).
+Cells are stored in per-offset buckets keyed by slot offset, holding only
+the offsets that have cells, so :meth:`cells_at` is a single O(1) lookup with
+no allocation -- it runs for every node at every simulated timeslot -- and a
+mostly empty slotframe costs memory in proportion to its cells, not its
+length.  Every mutation bumps :attr:`version`, which the TSCH engine and the
+network's slot-skipping kernel use to invalidate their derived schedule
+caches (sorted active-cell lists, active-offset indexes).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from typing import Optional
+from typing import NoReturn, Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
+
+
+class _EmptyBucket(list[Cell]):
+    """The bucket every empty slot offset answers with: shared, always empty.
+
+    Queries return it without touching the table, and it refuses to grow, so
+    a caller can never install a cell by mutating a query result.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError("the bucket of an empty slot offset is read-only")
+
+    append = extend = insert = __setitem__ = __iadd__ = __imul__ = _refuse
+
+
+_EMPTY: list[Cell] = _EmptyBucket()
 
 
 class Slotframe:
@@ -34,9 +54,9 @@ class Slotframe:
         #: Invoked after every mutation; the owning TSCH engine hooks this to
         #: invalidate its derived schedule caches without polling.
         self.on_change: Optional[Callable[[], None]] = None
-        #: Dense lookup table: ``_table[offset]`` lists the cells installed at
-        #: that slot offset (insertion order).
-        self._table: list[list[Cell]] = [[] for _ in range(length)]
+        #: ``_table[offset]`` lists the cells installed at that slot offset
+        #: (insertion order); offsets without cells have no entry.
+        self._table: dict[int, list[Cell]] = {}
 
     def _mutated(self) -> None:
         self.version += 1
@@ -64,38 +84,43 @@ class Slotframe:
         )
         if existing is not None:
             return existing
-        self._table[cell.slot_offset].append(cell)
+        self._table.setdefault(cell.slot_offset, []).append(cell)
         self._mutated()
         return cell
 
     def remove_cell(self, cell: Cell) -> bool:
         """Remove a previously installed cell.  Returns True when found."""
-        if cell.slot_offset >= self.length:
+        bucket = self._table.get(cell.slot_offset)
+        if bucket is None:
             return False
-        bucket = self._table[cell.slot_offset]
         try:
             bucket.remove(cell)
         except ValueError:
             return False
+        if not bucket:
+            del self._table[cell.slot_offset]
         self._mutated()
         return True
 
     def remove_cells_with_neighbor(self, neighbor: int) -> int:
         """Remove every cell dedicated to ``neighbor`` (e.g. after a parent switch)."""
         removed = 0
-        for offset, bucket in enumerate(self._table):
-            if not bucket:
-                continue
+        for offset, bucket in list(self._table.items()):
             keep = [c for c in bucket if c.neighbor != neighbor]
+            if len(keep) == len(bucket):
+                continue
             removed += len(bucket) - len(keep)
-            self._table[offset] = keep
+            if keep:
+                self._table[offset] = keep
+            else:
+                del self._table[offset]
         if removed:
             self._mutated()
         return removed
 
     def clear(self) -> None:
         """Remove every cell."""
-        self._table = [[] for _ in range(self.length)]
+        self._table = {}
         self._mutated()
 
     # ------------------------------------------------------------------
@@ -104,16 +129,14 @@ class Slotframe:
     def cells_at(self, asn: int) -> list[Cell]:
         """Cells active at the given absolute slot number.
 
-        Returns the internal per-offset bucket (O(1), no copy); callers must
-        treat it as read-only.
+        Returns the internal per-offset bucket (O(1), no copy), or the shared
+        empty bucket; callers must treat it as read-only.
         """
-        return self._table[asn % self.length]
+        return self._table.get(asn % self.length, _EMPTY)
 
     def cells_at_offset(self, slot_offset: int) -> list[Cell]:
         """Cells installed at a given slot offset (read-only view)."""
-        if slot_offset >= self.length:
-            return []
-        return self._table[slot_offset]
+        return self._table.get(slot_offset, _EMPTY)
 
     def find_cell(
         self,
@@ -123,9 +146,7 @@ class Slotframe:
         options: Optional[CellOption] = None,
     ) -> Optional[Cell]:
         """First installed cell matching the given attributes, if any."""
-        if slot_offset >= self.length:
-            return None
-        for cell in self._table[slot_offset]:
+        for cell in self._table.get(slot_offset, _EMPTY):
             if channel_offset is not None and cell.channel_offset != channel_offset:
                 continue
             if neighbor is not None and cell.neighbor != neighbor:
@@ -137,9 +158,8 @@ class Slotframe:
 
     def all_cells(self) -> Iterator[Cell]:
         """Iterate over every installed cell (slot order, then insertion order)."""
-        for bucket in self._table:
-            for cell in bucket:
-                yield cell
+        for _, bucket in sorted(self._table.items()):
+            yield from bucket
 
     def cells_with_neighbor(self, neighbor: Optional[int]) -> list[Cell]:
         """All cells dedicated to ``neighbor``."""
@@ -147,11 +167,11 @@ class Slotframe:
 
     def used_slot_offsets(self) -> list[int]:
         """Sorted slot offsets that have at least one cell installed."""
-        return [offset for offset, bucket in enumerate(self._table) if bucket]
+        return sorted(self._table)
 
     def free_slot_offsets(self) -> list[int]:
         """Slot offsets with no cell installed (GT-TSCH's sleep timeslots)."""
-        return [offset for offset, bucket in enumerate(self._table) if not bucket]
+        return [offset for offset in range(self.length) if offset not in self._table]
 
     def count_cells(
         self,
@@ -173,10 +193,10 @@ class Slotframe:
 
     def occupancy(self) -> float:
         """Fraction of slot offsets with at least one cell installed."""
-        return sum(1 for bucket in self._table if bucket) / self.length
+        return len(self._table) / self.length
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._table)
+        return sum(len(bucket) for bucket in self._table.values())
 
     def __iter__(self) -> Iterator[Cell]:
         return self.all_cells()

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
@@ -200,7 +201,7 @@ class ScheduleProfile:
         #: for a queue holding only unicast frames.
         self._prune_frames: list[tuple] = []
         for sf in slotframes:
-            used: list[int] = []
+            used = sf.used_slot_offsets()
             rx_offsets: list[int] = []
             #: Offsets whose cells can carry a link-layer broadcast frame.
             broadcast_tx: list[int] = []
@@ -211,11 +212,8 @@ class ScheduleProfile:
             neighbor_tx: dict[int, list[int]] = {}
             anycast_census: dict[int, tuple] = {}
             neighbor_census: dict[int, dict[int, tuple]] = {}
-            for offset in range(sf.length):
+            for offset in used:
                 bucket = sf.cells_at_offset(offset)
-                if not bucket:
-                    continue
-                used.append(offset)
                 if any(cell.is_rx for cell in bucket):
                     rx_offsets.append(offset)
                 for cell in bucket:
@@ -244,10 +242,10 @@ class ScheduleProfile:
                         count, all_shared = census.get(offset, (0, True))
                         census[offset] = (count + 1, all_shared and cell.is_shared)
             self._prune_frames.append((sf.length, anycast_census, neighbor_census))
-            rx_set = set(rx_offsets)
-            prefix = [0] * (sf.length + 1)
-            for offset in range(sf.length):
-                prefix[offset + 1] = prefix[offset] + (1 if offset in rx_set else 0)
+            rx_marks = [0] * sf.length
+            for offset in rx_offsets:
+                rx_marks[offset] = 1
+            prefix = [0, *accumulate(rx_marks)]
             self.frame_offsets.append((sf.length, used))
             self._frames.append(
                 (sf.length, rx_offsets, prefix, broadcast_tx, anycast_tx, neighbor_tx)

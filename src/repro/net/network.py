@@ -271,8 +271,8 @@ class Network:
     def start(self) -> None:
         """Start every node's protocol machinery (idempotent).
 
-        The topology is final once the network starts, so the medium's dense
-        PRR / interference tables are precomputed here in one pass (adding a
+        The topology is final once the network starts, so the medium's
+        PRR / interference maps are precomputed here in one pass (adding a
         node later un-freezes and the next start of a slot run re-freezes).
         """
         self.medium.freeze()
@@ -377,7 +377,7 @@ class Network:
         audience: set = set(planned)
         audience_of = self.medium.audience_of
         for node_id in intent_owners:
-            audience |= audience_of(node_id)
+            audience.update(audience_of(node_id))
         scanning = self._scanning
         if scanning:
             # Unsynchronised scanners listen on their scan channel every

@@ -3,12 +3,12 @@
 Every static scenario freezes the :class:`~repro.phy.medium.Medium` once and
 runs against one immutable PRR table — the least production-like regime.  A
 :class:`DynamicMediumPolicy` describes a *seeded epoch schedule* of per-link
-PRR perturbations layered on top of the frozen tables: at every epoch
+PRR perturbations layered on top of the frozen maps: at every epoch
 boundary a fresh per-link scale-vector table is drawn from a stream derived
 purely from ``(policy seed, epoch index)`` and applied through
-:meth:`~repro.phy.medium.Medium.set_link_prr_scales`, which re-freezes the
-dense rows from the pristine base without unfreezing the medium.  After the
-last epoch the pristine tables are restored bit-exactly.
+:meth:`~repro.phy.medium.Medium.set_link_prr_scales`, which rebuilds the
+PRR maps from the pristine ones without unfreezing the medium.  After the
+last epoch the pristine maps are restored bit-exactly.
 
 Determinism contract: the epoch boundaries are ordinary
 :class:`~repro.sim.events.EventQueue` callbacks at absolute times, drained at
@@ -48,7 +48,7 @@ class DynamicMediumPolicy:
     index in a registry seeded by ``seed`` alone, so the schedule is a pure
     function of the policy — independent of the simulation seed, the slot
     loop, and of anything the network does.  After the last epoch the medium
-    returns to its pristine frozen tables.
+    returns to its pristine frozen maps.
 
     The class is frozen and slotted: it is part of the scenario fingerprint
     (the result cache hashes its fields) and must never mutate mid-run.

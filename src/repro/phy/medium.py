@@ -21,19 +21,17 @@ nothing.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Set
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet
 from repro.phy.propagation import Position, PropagationModel
-from repro.sim.accel import numpy_or_none
 
 if TYPE_CHECKING:
     import random  # reprolint: disable=RL001
 
-# Optional accelerator: the container ships numpy, CI may not (and
-# REPRO_NO_NUMPY=1 forces the pure-Python fallback for equivalence tests).
-_np = numpy_or_none()
+#: Per-sender link map: ``sender -> {other node: value}``.
+_LinkMap = dict[int, dict[int, float]]
 
 
 class TransmissionIntent:
@@ -157,9 +155,9 @@ class Medium:
         self.propagation = propagation
         self.rng = rng
         self.ack_prr_scale = ack_prr_scale
-        #: When False, arbitration always takes the general grouped path (the
-        #: reference implementation); the single-transmitter shortcut below is
-        #: identical in results and RNG draws, it only skips the bookkeeping.
+        #: When False, arbitration always takes the general per-listener path
+        #: (the reference implementation); the frozen medium's
+        #: transmitter-centric path is identical in results and RNG draws.
         self.fast_paths = True
         self._positions: dict[int, Position] = {}
         # Caches keyed by ordered node-id pair; the topology is static after
@@ -167,43 +165,29 @@ class Medium:
         self._prr_cache: dict[tuple[int, int], float] = {}
         self._interf_cache: dict[tuple[int, int], bool] = {}
         self._neighbors_cache: dict[tuple[int, float], list[int]] = {}
-        #: Dense matrix state (populated by :meth:`freeze`): node id ->
-        #: contiguous index, and per-sender rows indexed by listener index.
+        #: Sparse link state (populated by :meth:`freeze`), every map in
+        #: id-index order: node id -> contiguous index, ``_prr_map[sender]``
+        #: = ``{receiver: PRR}`` over receivers with PRR > 0, and
+        #: ``_heard[sender]`` = ``{listener: PRR}`` over listeners within
+        #: interference range.  Pairs absent from a map are out of range.
         self._frozen = False
         self._index_of: dict[int, int] = {}
         self._ids: list[int] = []
-        self._prr_rows: dict[int, list[float]] = {}
-        self._interf_rows: dict[int, list[bool]] = {}
-        self._audience: dict[int, frozenset] = {}
-        #: Link-degradation epochs (fault injection): the pristine frozen
-        #: PRR rows, kept aside the first time :meth:`set_prr_scale`
-        #: degrades the medium so ending the last epoch restores them
-        #: bit-exactly, and the scale currently applied.
-        self._prr_base_rows: Optional[dict[int, list[float]]] = None
+        self._prr_map: _LinkMap = {}
+        self._heard: _LinkMap = {}
+        #: Link-degradation epochs (fault injection and link drift): the
+        #: pristine ``(_prr_map, _heard)`` pair, re-installed bit-exactly when
+        #: the last epoch ends, the scalar scale currently applied, and the
+        #: per-link multipliers (``sender -> {receiver: scale}`` over the
+        #: receivers of ``_prr_map``; ``None`` means no per-link epoch).
+        self._pristine: tuple[_LinkMap, _LinkMap] = ({}, {})
         self._prr_scale = 1.0
-        #: Per-link scale vectors (dynamic-medium epochs): sender id ->
-        #: per-listener multipliers composed on top of the scalar scale.
-        #: ``None`` means no per-link epoch is open.
-        self._link_scale_rows: Optional[dict[int, list[float]]] = None
+        self._link_scales: Optional[_LinkMap] = None
         #: Monotonic count of per-link epoch transitions since freeze();
         #: stamped into :meth:`export_frozen` snapshots so the sweep engine's
         #: warm-pool frozen cache can prove it only ever serves epoch-0
-        #: (pristine) tables.
+        #: (pristine) maps.
         self._link_epoch = 0
-        #: Dense boolean interference matrix (numpy, when available): row =
-        #: sender index, column = listener index.  Pure accelerator for the
-        #: audible-count scan of :meth:`_resolve_same_channel`; the list
-        #: tables above remain the source of truth (PRR floats in
-        #: particular are always read from them, so every RNG comparison
-        #: uses exactly the reference values).
-        self._np_interf = None
-        #: Dense float64 PRR matrix, same indexing.  Unlike ``_np_interf``
-        #: it is also an *RNG comparison* input on the batched broadcast
-        #: path, which stays bit-identical because float64 round-trips the
-        #: list values exactly.  Freeze scatters the row values into it,
-        #: adopters share the snapshot's copy, and link-degradation epochs
-        #: rebuild it from the replaced ``_prr_rows``.
-        self._np_prr = None
         #: Counters for diagnostics / tests.
         self.total_transmissions = 0
         self.total_collisions = 0
@@ -217,121 +201,111 @@ class Medium:
         self._prr_cache.clear()
         self._interf_cache.clear()
         self._neighbors_cache.clear()
-        # The dense tables are stale the moment the topology changes; the next
+        # The frozen maps are stale the moment the topology changes; the next
         # freeze() recomputes them in one pass.
         self._frozen = False
         self._index_of = {}
         self._ids = []
-        self._prr_rows = {}
-        self._interf_rows = {}
-        self._audience = {}
-        self._prr_base_rows = None
+        self._prr_map = {}
+        self._heard = {}
+        self._pristine = ({}, {})
         self._prr_scale = 1.0
-        self._link_scale_rows = None
+        self._link_scales = None
         self._link_epoch = 0
-        self._np_interf = None
-        self._np_prr = None
 
     @property
     def frozen(self) -> bool:
-        """Whether the dense PRR / interference tables are current."""
+        """Whether the sparse PRR / interference maps are current."""
         return self._frozen
 
     def freeze(self) -> None:
-        """Bulk-precompute every pairwise link query (idempotent).
+        """Bulk-precompute every in-range link query (idempotent).
 
         Called when the topology is final (the network does this on
-        :meth:`~repro.net.network.Network.start`): one pass fills dense N x N
-        PRR and interference tables plus the default neighbor lists and
-        audiences, so the hot arbitration path never hits the lazy per-pair
-        dict-miss path.  Rows start as ``0.0`` / ``False`` and only
-        *candidate* pairs are queried: when the propagation model states a
+        :meth:`~repro.net.network.Network.start`): one pass fills, per
+        sender, the map of receivers with PRR > 0 and the map of listeners
+        within interference range, so the hot arbitration path never hits
+        the lazy per-pair dict-miss path.  Only *candidate* pairs are
+        queried: when the propagation model states a
         :meth:`~repro.phy.propagation.PropagationModel.cutoff_range`, nodes
         are bucketed into grid cells just wider than it and a node's
         candidates are the nodes in its own and the eight surrounding cells
         (see :func:`_candidate_columns`), so setup costs O(N*k) propagation
-        calls for k nodes within range instead of N^2.  Every other pair is
-        provably out of range, which is exactly what the zero-filled rows
-        hold; models without a cut-off query every pair.  Candidates are
-        visited in id-index order, so the tables, neighbor lists and
-        audiences are exactly what the lazy path would have computed and
-        freezing never changes simulation results.  Registering (or moving)
-        a node un-freezes the medium.
+        calls and O(N*k) memory for k nodes within range.  Every other pair
+        is provably out of range, which is what its absence from the maps
+        means; models without a cut-off query every pair.  Candidates are
+        visited in id-index order, so every map, neighbor list and audience
+        iterates exactly as the lazy path would enumerate it and freezing
+        never changes simulation results.  Registering (or moving) a node
+        un-freezes the medium.
         """
         if self._frozen:
             return
         ids = list(self._positions)
-        count = len(ids)
         positions = list(self._positions.values())
-        self._ids = ids
-        self._index_of = {node_id: index for index, node_id in enumerate(ids)}
         prr = self.propagation.prr
         in_range = self.propagation.in_interference_range
-        np_prr = np_interf = None
-        if _np is not None and ids:
-            np_prr = _np.zeros((count, count))
-            np_interf = _np.zeros((count, count), dtype=bool)
         candidates = _candidate_columns(positions, self.propagation.cutoff_range())
+        prr_map: _LinkMap = {}
+        heard: _LinkMap = {}
         for index, a in enumerate(ids):
             position_a = positions[index]
-            columns = candidates[index]
-            prr_row = [0.0] * count
-            interf_row = [False] * count
-            neighbors: list[int] = []
-            audience: list[int] = []
-            for column in columns:
+            reachable: dict[int, float] = {}
+            audible: dict[int, float] = {}
+            for column in candidates[index]:
                 if column == index:
                     continue
                 position_b = positions[column]
                 value = prr(position_a, position_b)
-                heard = in_range(position_a, position_b)
-                prr_row[column] = value
-                interf_row[column] = heard
                 if value > 0.0:
-                    neighbors.append(ids[column])
-                if heard:
-                    audience.append(ids[column])
-            self._prr_rows[a] = prr_row
-            self._interf_rows[a] = interf_row
-            self._neighbors_cache[(a, 0.0)] = neighbors
-            self._audience[a] = frozenset(audience)
-            if np_prr is not None and np_interf is not None:
-                np_prr[index, columns] = [prr_row[column] for column in columns]
-                np_interf[index, columns] = [interf_row[column] for column in columns]
-        self._np_prr = np_prr
-        self._np_interf = np_interf
+                    reachable[ids[column]] = value
+                if in_range(position_a, position_b):
+                    audible[ids[column]] = value
+            prr_map[a] = reachable
+            heard[a] = audible
+        index_of = {node_id: index for index, node_id in enumerate(ids)}
+        self._install(ids, index_of, prr_map, heard)
+
+    def _install(
+        self,
+        ids: list[int],
+        index_of: dict[int, int],
+        prr_map: _LinkMap,
+        heard: _LinkMap,
+    ) -> None:
+        self._ids = ids
+        self._index_of = index_of
+        self._prr_map = prr_map
+        self._heard = heard
+        self._pristine = (prr_map, heard)
         self._frozen = True
 
     def export_frozen(self) -> dict:
-        """Snapshot the dense tables computed by :meth:`freeze`.
+        """Snapshot the maps computed by :meth:`freeze`.
 
-        The tables are a pure function of the node positions and the
+        The maps are a pure function of the node positions and the
         propagation model (no RNG), so a snapshot taken from one network can
         seed any other network with the same topology and model -- the sweep
         engine's workers use this to freeze each distinct topology once per
         process instead of once per scenario cell.  The snapshot shares the
-        row lists and numpy matrices; callers must treat them as read-only
-        (the simulator does: epochs build new rows and a new ``_np_prr``).
+        per-sender maps; callers must treat them as read-only (the simulator
+        does: epochs build new maps).
         """
         if not self._frozen:
             raise RuntimeError("export_frozen() requires a frozen medium")
-        if self._prr_scale != 1.0 or self._link_scale_rows is not None:
+        if self._prr_scale != 1.0 or self._link_scales is not None:
             # A snapshot taken mid-epoch would poison every adopter with
-            # degraded tables; the sweep engine snapshots right after
+            # degraded maps; the sweep engine snapshots right after
             # freeze(), before any fault fires, so this never triggers there.
             raise RuntimeError("export_frozen() during a link-degradation epoch")
         return {
             "ids": self._ids,
             "index_of": self._index_of,
-            "prr_rows": self._prr_rows,
-            "interf_rows": self._interf_rows,
-            "audience": self._audience,
-            "neighbors": {key: value for key, value in self._neighbors_cache.items()},
-            "np_interf": self._np_interf,
-            "np_prr": self._np_prr,
-            # Epoch stamp: snapshots are only ever taken at pristine tables
+            "prr_map": self._prr_map,
+            "heard": self._heard,
+            # Epoch stamp: snapshots are only ever taken at pristine maps
             # (enforced above), so adopters can assert the stamp to prove the
-            # warm-pool frozen cache was never fed a mid-epoch table.
+            # warm-pool frozen cache was never fed a mid-epoch map.
             "link_epoch": self._link_epoch,
         }
 
@@ -341,39 +315,29 @@ class Medium:
         Returns False (leaving the medium untouched, to be frozen normally)
         when the snapshot's node set does not match this medium's -- the
         caller's cache key should make that impossible, but a silent mismatch
-        would corrupt every PRR draw, so it is checked.
+        would corrupt every PRR draw, so it is checked.  Snapshots are always
+        pristine, so the adopter starts a fresh epoch history of its own.
         """
         if self._frozen:
             return True
         if state["ids"] != list(self._positions):
             return False
-        self._ids = state["ids"]
-        self._index_of = state["index_of"]
-        self._prr_rows = state["prr_rows"]
-        self._interf_rows = state["interf_rows"]
-        self._audience = state["audience"]
-        self._neighbors_cache.update(state["neighbors"])
-        # Snapshots are always pristine (export_frozen refuses mid-epoch
-        # tables), so the adopter starts a fresh epoch history of its own.
         self._link_epoch = 0
-        self._np_interf = state["np_interf"]
-        self._np_prr = state["np_prr"]
-        self._frozen = True
+        self._install(state["ids"], state["index_of"], state["prr_map"], state["heard"])
         return True
 
     def set_prr_scale(self, scale: float) -> None:
         """Enter (or leave) a link-degradation epoch on a frozen medium.
 
-        Rebuilds the dense PRR tables as ``pristine_row * scale`` without
-        unfreezing: interference ranges, audience sets and neighbor
-        reachability are untouched (``scale`` is strictly positive, so
-        ``prr > 0`` membership is preserved), which keeps the dispatch
-        kernel's participant planning valid across epochs.  The pristine
-        rows are kept aside on first use and re-installed -- the very same
-        list objects, bit-exact -- when the scale returns to 1.0.  Rows are
-        always *new* lists, never mutated in place, because snapshots from
-        :meth:`export_frozen` (the sweep engine's per-topology freeze
-        cache) share them.
+        Rebuilds the PRR maps as ``pristine_value * scale`` without
+        unfreezing: interference ranges, audiences and neighbor reachability
+        are untouched (``scale`` is strictly positive, so ``prr > 0``
+        membership is preserved), which keeps the dispatch kernel's
+        participant planning valid across epochs.  The pristine maps are
+        re-installed -- the very same objects, bit-exact -- when the scale
+        returns to 1.0.  Maps are always *new*, never mutated in place,
+        because snapshots from :meth:`export_frozen` (the sweep engine's
+        per-topology freeze cache) share them.
         """
         if not self._frozen:
             raise RuntimeError("set_prr_scale() requires a frozen medium")
@@ -382,7 +346,7 @@ class Medium:
         if scale == self._prr_scale:
             return
         self._prr_scale = scale
-        self._recompute_scaled_rows()
+        self._rescale()
 
     def set_link_prr_scales(
         self, scale_rows: Optional[dict[int, Sequence[float]]]
@@ -391,26 +355,28 @@ class Medium:
 
         The dynamic-medium policy (:mod:`repro.phy.dynamic`) perturbs
         individual links rather than the whole medium: ``scale_rows`` maps
-        every sender id to a per-listener multiplier vector (same indexing as
-        the frozen PRR rows, values in ``(0, 1]`` so audience membership is
+        every sender id to a per-listener multiplier vector indexed in node
+        registration order (values in ``(0, 1]`` so audience membership is
         preserved).  The vectors compose multiplicatively with the scalar
-        :meth:`set_prr_scale` epochs, and like them they rebuild *new* row
-        lists from the pristine base without unfreezing — snapshots from
-        :meth:`export_frozen` share the base rows and must never see them
+        :meth:`set_prr_scale` epochs, and like them they rebuild *new* maps
+        from the pristine ones without unfreezing — snapshots from
+        :meth:`export_frozen` share the pristine maps and must never see them
         mutate.  Every transition bumps the epoch stamp checked by
         :meth:`export_frozen`.
         """
         if not self._frozen:
             raise RuntimeError("set_link_prr_scales() requires a frozen medium")
         if scale_rows is None:
-            if self._link_scale_rows is None:
+            if self._link_scales is None:
                 return
-            self._link_scale_rows = None
+            self._link_scales = None
             self._link_epoch += 1
-            self._recompute_scaled_rows()
+            self._rescale()
             return
-        validated: dict[int, list[float]] = {}
         width = len(self._ids)
+        index_of = self._index_of
+        pristine_prr = self._pristine[0]
+        link_scales: _LinkMap = {}
         for sender in self._ids:
             row = scale_rows.get(sender)
             if row is None:
@@ -426,55 +392,46 @@ class Medium:
                     raise ValueError(
                         f"per-link PRR scale must be in (0, 1], got {value}"
                     )
-            validated[sender] = values
-        self._link_scale_rows = validated
+            # Only links with PRR > 0 can be scaled; keep just their factors.
+            link_scales[sender] = {
+                receiver: values[index_of[receiver]] for receiver in pristine_prr[sender]
+            }
+        self._link_scales = link_scales
         self._link_epoch += 1
-        self._recompute_scaled_rows()
+        self._rescale()
 
-    def _recompute_scaled_rows(self) -> None:
-        """Rebuild the effective PRR rows: ``base * scalar * per-link``.
+    def _rescale(self) -> None:
+        """Rebuild the effective maps: ``pristine * scalar * per-link``.
 
         Shared by the scalar and per-link epoch entry points.  The pristine
-        rows are kept aside on first use and re-installed — the very same
-        list objects, bit-exact — when both scales return to pristine; the
-        scalar-only branch keeps the exact historic ``value * scale``
-        expression so legacy link-degradation epochs stay bit-identical.
+        maps are re-installed when both scales are back to pristine.  A
+        missing factor is 1.0, and multiplying by 1.0 is exact in floating
+        point, so each epoch kind yields exactly its own ``value * scale`` or
+        ``value * factor``.  Heard values are copied from the scaled PRR map,
+        so arbitration and :meth:`link_prr` always read the same float.
         """
-        if self._prr_base_rows is None:
-            self._prr_base_rows = self._prr_rows
-        base = self._prr_base_rows
+        prr_map, heard = self._pristine
         scale = self._prr_scale
-        link = self._link_scale_rows
+        link = self._link_scales
         if scale == 1.0 and link is None:
-            self._prr_rows = base
-        elif link is None:
-            self._prr_rows = {
-                sender: [value * scale for value in row]
-                for sender, row in base.items()
+            self._prr_map, self._heard = prr_map, heard
+            return
+        scaled: _LinkMap = {}
+        for sender, row in prr_map.items():
+            factors: dict[int, float] = {} if link is None else link[sender]
+            scaled[sender] = {
+                receiver: value * scale * factors.get(receiver, 1.0)
+                for receiver, value in row.items()
             }
-        elif scale == 1.0:
-            self._prr_rows = {
-                sender: [value * s for value, s in zip(row, link[sender])]
-                for sender, row in base.items()
+        self._prr_map = scaled
+        # Listeners without a usable link keep their (non-positive) PRR.
+        self._heard = {
+            sender: {
+                listener: scaled[sender].get(listener, value)
+                for listener, value in row.items()
             }
-        else:
-            self._prr_rows = {
-                sender: [value * scale * s for value, s in zip(row, link[sender])]
-                for sender, row in base.items()
-            }
-        if self._np_interf is not None:
-            self._rebuild_np_prr()
-
-    def _rebuild_np_prr(self) -> None:
-        """Mirror ``_prr_rows`` into a new dense numpy table (epochs).
-
-        Always rebuilt *from* the list rows so every batched comparison uses
-        bit-exact copies of the reference values, including mid-epoch scaled
-        rows; never written in place, since snapshots share the old table.
-        """
-        self._np_prr = _np.array(
-            [self._prr_rows[a] for a in self._ids], dtype=float
-        )
+            for sender, row in heard.items()
+        }
 
     @property
     def prr_scale(self) -> float:
@@ -489,16 +446,17 @@ class Medium:
     @property
     def in_link_epoch(self) -> bool:
         """Whether a per-link scale epoch is currently open."""
-        return self._link_scale_rows is not None
+        return self._link_scales is not None
 
-    def audience_of(self, sender: int) -> frozenset:
+    def audience_of(self, sender: int) -> Set[int]:
         """Node ids within interference range of ``sender`` (frozen medium).
 
         Exactly the listeners that could draw an RNG number or decode when
         ``sender`` transmits; everyone else provably hears nothing, which the
-        network's dispatch kernel exploits to leave them unplanned.
+        network's dispatch kernel exploits to leave them unplanned.  The
+        result is a read-only set view, iterating in id-index order.
         """
-        return self._audience[sender]
+        return self._heard[sender].keys()
 
     def position_of(self, node_id: int) -> Position:
         return self._positions[node_id]
@@ -512,7 +470,7 @@ class Medium:
     def link_prr(self, sender: int, receiver: int) -> float:
         """Interference-free PRR of the directed link sender -> receiver."""
         if self._frozen:
-            return self._prr_rows[sender][self._index_of[receiver]]
+            return self._prr_map[sender].get(receiver, 0.0)
         if sender == receiver:
             return 0.0
         key = (sender, receiver)
@@ -525,7 +483,7 @@ class Medium:
     def interferes(self, transmitter: int, listener: int) -> bool:
         """Whether energy from ``transmitter`` reaches ``listener`` at all."""
         if self._frozen:
-            return self._interf_rows[transmitter][self._index_of[listener]]
+            return listener in self._heard[transmitter]
         if transmitter == listener:
             return False
         key = (transmitter, listener)
@@ -540,16 +498,25 @@ class Medium:
 
         Memoised per ``(node, threshold)``; the cache is dropped whenever a
         node registers or moves.  Callers get the cached list itself and must
-        treat it as read-only.
+        treat it as read-only.  On a frozen medium a non-negative threshold
+        filters the node's PRR map, which holds every link with PRR > 0 in
+        registration order.
         """
         key = (node_id, min_prr)
         neighbors = self._neighbors_cache.get(key)
         if neighbors is None:
-            neighbors = [
-                other
-                for other in self._positions
-                if other != node_id and self.link_prr(node_id, other) > min_prr
-            ]
+            if self._frozen and min_prr >= 0.0:
+                neighbors = [
+                    other
+                    for other, prr in self._prr_map[node_id].items()
+                    if prr > min_prr
+                ]
+            else:
+                neighbors = [
+                    other
+                    for other in self._positions
+                    if other != node_id and self.link_prr(node_id, other) > min_prr
+                ]
             self._neighbors_cache[key] = neighbors
         return neighbors
 
@@ -571,14 +538,14 @@ class Medium:
         listeners:
             Mapping ``node_id -> physical channel`` for every node whose radio
             is in receive mode this slot.  Transmitting nodes must not appear
-            here (half-duplex radios).
+            here (half-duplex radios).  Listeners are resolved -- collisions
+            counted and PRR draws taken -- in this mapping's iteration order.
         listeners_by_channel:
             Optional ``channel -> listener ids`` grouping of the same
             listeners, with each group preserving the iteration order of
             ``listeners``.  The network's dispatch loop builds it for free
-            while planning; when absent it is derived here once per slot.
-            Either way both fast paths below share it instead of re-checking
-            every listener's channel per intent.
+            while planning; when every intent shares one channel the fast
+            path orders that channel's group instead of all listeners.
 
         Returns
         -------
@@ -588,26 +555,8 @@ class Medium:
         self.total_transmissions += len(intents)
         if not intents:
             return results
-
-        channel = intents[0].channel
-        if self.fast_paths and all(intent.channel == channel for intent in intents):
-            # Fast path for the overwhelmingly common case of every
-            # transmission sharing one physical channel (a single transmitter
-            # in particular): listeners on other channels can neither decode
-            # nor collide, so only the matching channel group is visited.
-            # Within the group the listener order equals the order of
-            # ``listeners``, so arbitration and RNG draws are identical to
-            # the general path below.
-            if listeners_by_channel is not None:
-                channel_listeners: Sequence[int] = listeners_by_channel.get(channel, ())
-            else:
-                channel_listeners = [
-                    listener for listener, ch in listeners.items() if ch == channel
-                ]
-            if len(intents) == 1:
-                self._resolve_single(intents[0], results[0], channel_listeners)
-            else:
-                self._resolve_same_channel(intents, results, channel_listeners)
+        if self.fast_paths and self._frozen:
+            self._resolve_frozen(intents, results, listeners, listeners_by_channel)
             self._resolve_acks(results)
             return results
 
@@ -647,211 +596,69 @@ class Medium:
         self._resolve_acks(results)
         return results
 
-    def _resolve_single(
-        self,
-        intent: TransmissionIntent,
-        result: TransmissionResult,
-        channel_listeners: Sequence[int],
-    ) -> None:
-        """Resolve one transmitter against its channel's listeners (no collision)."""
-        destination = intent.packet.link_destination
-        rng_random = self.rng.random
-        if self._frozen:
-            interf_row = self._interf_rows[intent.sender]
-            prr_row = self._prr_rows[intent.sender]
-            index_of = self._index_of
-            if self._np_prr is not None and len(channel_listeners) >= 16:
-                # Broadcast-sized audiences (EB/DIO on the frozen topology):
-                # mask eligibility in one vectorised pass, then draw the RNG
-                # for exactly the eligible listeners, in listener order --
-                # the same scalar draws the loop below would make -- and
-                # compare the whole batch at once.  float64 copies of the
-                # list PRRs make the comparison bit-identical.
-                columns = _np.fromiter(
-                    (index_of[listener] for listener in channel_listeners),
-                    dtype=_np.intp,
-                    count=len(channel_listeners),
-                )
-                sender_row = index_of[intent.sender]
-                prr_sub = self._np_prr[sender_row, columns]
-                eligible = _np.flatnonzero(
-                    self._np_interf[sender_row, columns] & (prr_sub > 0.0)
-                )
-                if not len(eligible):
-                    return
-                draws = _np.fromiter(
-                    (rng_random() for _ in range(len(eligible))),
-                    dtype=float,
-                    count=len(eligible),
-                )
-                received = eligible[draws <= prr_sub[eligible]]
-                receivers = result.receivers
-                for position in received.tolist():
-                    listener = channel_listeners[position]
-                    receivers.append(listener)
-                    if destination == listener:
-                        result.delivered = True
-                return
-            for listener in channel_listeners:
-                index = index_of[listener]
-                if not interf_row[index]:
-                    continue
-                prr = prr_row[index]
-                if prr <= 0.0:
-                    continue
-                if rng_random() <= prr:
-                    result.receivers.append(listener)
-                    if destination == listener:
-                        result.delivered = True
-            return
-        for listener in channel_listeners:
-            if not self.interferes(intent.sender, listener):
-                continue
-            prr = self.link_prr(intent.sender, listener)
-            if prr <= 0.0:
-                continue
-            if rng_random() <= prr:
-                result.receivers.append(listener)
-                if destination == listener:
-                    result.delivered = True
-
-    def _resolve_same_channel(
+    def _resolve_frozen(
         self,
         intents: Sequence[TransmissionIntent],
         results: list[TransmissionResult],
-        channel_listeners: Sequence[int],
+        listeners: dict[int, int],
+        listeners_by_channel: Optional[dict[int, list[int]]],
     ) -> None:
-        """Resolve several same-channel transmitters (collisions possible)."""
-        if (
-            self._np_interf is not None
-            and len(intents) >= 3
-            and len(channel_listeners) >= 8
-        ):
-            # Vectorised audible counting (the dense matrix is a pure
-            # function of the list tables, and PRR values are still read
-            # from the reference lists): same collisions, same marks, same
-            # RNG draws in the same listener order as the scans below.
-            index_of = self._index_of
-            sub = self._np_interf[
-                _np.fromiter(
-                    (index_of[intent.sender] for intent in intents),
-                    dtype=_np.intp,
-                    count=len(intents),
-                )
-            ][
-                :,
-                _np.fromiter(
-                    (index_of[listener] for listener in channel_listeners),
-                    dtype=_np.intp,
-                    count=len(channel_listeners),
-                ),
-            ]
-            counts = sub.sum(axis=0)
-            collided_columns = counts > 1
-            collisions = int(collided_columns.sum())
-            if collisions:
-                self.total_collisions += collisions
-                # An intent audible at any collided listener it addresses is
-                # marked; broadcasts address every listener.
-                audible_at_collided = sub[:, collided_columns]
-                broadcast_hit = audible_at_collided.any(axis=1)
-                collided_listeners = None
-                for index, intent in enumerate(intents):
-                    destination = intent.packet.link_destination
-                    if destination == BROADCAST_ADDRESS:
-                        if broadcast_hit[index]:
-                            results[index].collided = True
+        """Transmitter-centric arbitration on the frozen maps.
+
+        Each intent walks only its sender's heard map (k listeners) and keeps
+        those tuned to its channel, collecting the audible intents per
+        listener in O(sum of k).  The hit listeners are then resolved in the
+        iteration order of ``listeners`` -- the general path's order, which
+        fixes the RNG stream -- with the same collision marks, counts and
+        PRR draws as the general path.
+        """
+        heard = self._heard
+        listening_on = listeners.get
+        first: dict[int, int] = {}
+        clashes: dict[int, list[int]] = {}
+        for index, intent in enumerate(intents):
+            channel = intent.channel
+            for listener in heard[intent.sender]:
+                if listening_on(listener) == channel:
+                    if listener in first:
+                        clashes.setdefault(listener, [first[listener]]).append(index)
                     else:
-                        if collided_listeners is None:
-                            collided_listeners = {
-                                listener
-                                for listener, flag in zip(
-                                    channel_listeners, collided_columns.tolist()
-                                )
-                                if flag
-                            }
-                        if destination in collided_listeners:
-                            column = channel_listeners.index(destination)
-                            if sub[index][column]:
-                                results[index].collided = True
-            if bool((counts == 1).any()):
-                senders_of = sub.argmax(axis=0).tolist()
-                rng_random = self.rng.random
-                for column, count in enumerate(counts.tolist()):
-                    if count != 1:
-                        continue
-                    index = senders_of[column]
-                    intent = intents[index]
-                    listener = channel_listeners[column]
-                    prr = self._prr_rows[intent.sender][index_of[listener]]
-                    if prr <= 0.0:
-                        continue
-                    if rng_random() <= prr:
-                        results[index].receivers.append(listener)
-                        if intent.packet.link_destination == listener:
-                            results[index].delivered = True
+                        first[listener] = index
+        if not first:
             return
-        if self._frozen:
-            # Dense-table path: per listener, test each sender's precomputed
-            # interference row directly -- no per-slot audible-map building,
-            # no set allocations.  Listener order equals ``channel_listeners``
-            # and audible senders keep intent order, so collisions, PRR draws
-            # and the RNG stream are exactly those of the general scan below.
-            index_of = self._index_of
-            interf = [self._interf_rows[intent.sender] for intent in intents]
-            prr_rows = [self._prr_rows[intent.sender] for intent in intents]
-            count = len(intents)
-            rng_random = self.rng.random
-            for listener in channel_listeners:
-                column = index_of[listener]
-                first = -1
-                audible = 0
-                for index in range(count):
-                    if interf[index][column]:
-                        audible += 1
-                        if audible == 1:
-                            first = index
-                if not audible:
-                    continue
-                if audible > 1:
-                    for index in range(count):
-                        if interf[index][column] and intents[
-                            index
-                        ].packet.link_destination in (listener, BROADCAST_ADDRESS):
+        order: Iterable[int] = first.keys()
+        if len(first) > 1:
+            channel = intents[0].channel
+            if listeners_by_channel is not None and all(
+                intent.channel == channel for intent in intents
+            ):
+                scope: Iterable[int] = listeners_by_channel.get(channel, ())
+            else:
+                scope = listeners
+            order = [listener for listener in scope if listener in first]
+        rng_random = self.rng.random
+        for listener in order:
+            if clashes:
+                audible = clashes.get(listener)
+                if audible is not None:
+                    for index in audible:
+                        if intents[index].packet.link_destination in (
+                            listener,
+                            BROADCAST_ADDRESS,
+                        ):
                             results[index].collided = True
                     self.total_collisions += 1
                     continue
-                prr = prr_rows[first][column]
-                if prr <= 0.0:
-                    continue
-                if rng_random() <= prr:
-                    results[first].receivers.append(listener)
-                    if intents[first].packet.link_destination == listener:
-                        results[first].delivered = True
-            return
-        for listener in channel_listeners:
-            audible = [
-                index
-                for index, intent in enumerate(intents)
-                if self.interferes(intent.sender, listener)
-            ]
-            if not audible:
-                continue
-            if len(audible) > 1:
-                for index in audible:
-                    if intents[index].packet.link_destination in (listener, BROADCAST_ADDRESS):
-                        results[index].collided = True
-                self.total_collisions += 1
-                continue
-            index = audible[0]
+            index = first[listener]
             intent = intents[index]
-            prr = self.link_prr(intent.sender, listener)
+            prr = heard[intent.sender][listener]
             if prr <= 0.0:
                 continue
-            if self.rng.random() <= prr:
-                results[index].receivers.append(listener)
+            if rng_random() <= prr:
+                result = results[index]
+                result.receivers.append(listener)
                 if intent.packet.link_destination == listener:
-                    results[index].delivered = True
+                    result.delivered = True
 
     def _resolve_acks(self, results: list[TransmissionResult]) -> None:
         """Resolve ACKs for unicast frames that reached their destination."""

@@ -275,12 +275,18 @@ class TestFreezeCache:
         assert second.medium.frozen
         fresh = scenario.build_network()
         fresh.medium.freeze()
-        assert second.medium._prr_rows == fresh.medium._prr_rows
-        assert second.medium._interf_rows == fresh.medium._interf_rows
-        assert second.medium._audience == fresh.medium._audience
-        if fresh.medium._np_prr is not None:
-            assert second.medium._np_prr.tobytes() == fresh.medium._np_prr.tobytes()
-            assert second.medium._np_interf.tobytes() == fresh.medium._np_interf.tobytes()
+        ids = fresh.medium.node_ids()
+        assert second.medium.node_ids() == ids
+        for a in ids:
+            for medium in (first.medium, second.medium):
+                assert [medium.link_prr(a, b) for b in ids] == [
+                    fresh.medium.link_prr(a, b) for b in ids
+                ]
+                assert [medium.interferes(a, b) for b in ids] == [
+                    fresh.medium.interferes(a, b) for b in ids
+                ]
+                assert list(medium.audience_of(a)) == list(fresh.medium.audience_of(a))
+                assert medium.neighbors_of(a) == fresh.medium.neighbors_of(a)
 
     def test_mismatched_snapshot_is_rejected(self):
         scenario = fast_scenario()

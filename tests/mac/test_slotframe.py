@@ -117,6 +117,127 @@ class TestSlotframeRemoval:
         assert sorted(sf.used_slot_offsets() + sf.free_slot_offsets()) == list(range(32))
 
 
+class TestSparseBuckets:
+    """Only offsets with cells are stored; answers match a dense table."""
+
+    def test_all_cells_keep_slot_order_after_removes_and_readds(self):
+        sf = Slotframe(0, 10)
+        first, second, _, _ = [
+            sf.add_cell(tx_cell(slot, channel=channel))
+            for slot, channel in [(7, 0), (2, 0), (7, 1), (4, 0)]
+        ]
+        sf.remove_cell(first)
+        sf.remove_cell(second)
+        sf.add_cell(tx_cell(2, channel=3))
+        sf.add_cell(tx_cell(7, channel=0))
+        assert [(c.slot_offset, c.channel_offset) for c in sf.all_cells()] == [
+            (2, 3),
+            (4, 0),
+            (7, 1),
+            (7, 0),
+        ]
+
+    def test_emptied_bucket_is_deleted(self):
+        sf = Slotframe(0, 10)
+        cell = sf.add_cell(tx_cell(3))
+        keep = sf.add_cell(tx_cell(5))
+        assert sf.remove_cell(cell)
+        assert 3 not in sf._table
+        assert sf.cells_at_offset(3) == []
+        assert sf.used_slot_offsets() == [5]
+        assert sf.remove_cell(keep)
+        assert sf._table == {}
+
+    def test_clear_drops_every_bucket(self):
+        sf = Slotframe(0, 6)
+        sf.add_cell(tx_cell(1))
+        sf.add_cell(tx_cell(4, neighbor=2))
+        version = sf.version
+        sf.clear()
+        assert sf.version == version + 1
+        assert sf._table == {}
+        assert sf.used_slot_offsets() == []
+        assert sf.free_slot_offsets() == list(range(6))
+        assert list(sf.all_cells()) == []
+
+    def test_remove_cells_with_neighbor_drops_emptied_buckets(self):
+        sf = Slotframe(0, 10)
+        sf.add_cell(tx_cell(1, neighbor=7))
+        shared = sf.add_cell(tx_cell(2, neighbor=8))
+        sf.add_cell(tx_cell(2, channel=1, neighbor=7))
+        version = sf.version
+        assert sf.remove_cells_with_neighbor(7) == 2
+        assert sf.version == version + 1
+        assert sorted(sf._table) == [2]
+        assert sf.cells_at_offset(2) == [shared]
+        assert sf.remove_cells_with_neighbor(7) == 0
+        assert sf.version == version + 1
+
+    def test_free_offsets_and_occupancy_track_removals(self):
+        sf = Slotframe(0, 8)
+        cells = [
+            sf.add_cell(tx_cell(slot, channel))
+            for slot, channel in [(0, 0), (3, 0), (3, 1), (6, 0)]
+        ]
+        assert sf.free_slot_offsets() == [1, 2, 4, 5, 7]
+        assert sf.occupancy() == pytest.approx(3 / 8)
+        sf.remove_cell(cells[1])
+        assert sf.free_slot_offsets() == [1, 2, 4, 5, 7]
+        sf.remove_cell(cells[0])
+        assert sf.free_slot_offsets() == [0, 1, 2, 4, 5, 7]
+        assert sf.occupancy() == pytest.approx(2 / 8)
+        assert len(sf) == 2
+
+    def test_empty_offset_bucket_cannot_grow_the_table(self):
+        sf = Slotframe(0, 10)
+        other = Slotframe(1, 4)
+        bucket = sf.cells_at(5)
+        assert bucket == [] and bucket is sf.cells_at_offset(2) is other.cells_at(0)
+        with pytest.raises(TypeError):
+            bucket.append(tx_cell(5))
+        with pytest.raises(TypeError):
+            bucket += [tx_cell(5)]
+        assert sf.cells_at(5) == [] and len(sf) == 0 and sf._table == {}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "drop"]),
+                st.integers(min_value=0, max_value=11),
+                st.integers(min_value=0, max_value=2),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_a_dense_reference(self, operations):
+        length = 12
+        sf = Slotframe(0, length)
+        dense = [[] for _ in range(length)]
+        for op, slot, value in operations:
+            if op == "add":
+                cell = tx_cell(slot, channel=value, neighbor=value)
+                installed = sf.add_cell(cell)
+                if installed is cell:
+                    dense[slot].append(cell)
+            elif op == "remove":
+                installed = [cell for bucket in dense for cell in bucket]
+                if installed:
+                    cell = installed[(slot * 3 + value) % len(installed)]
+                    assert sf.remove_cell(cell)
+                    dense[cell.slot_offset].remove(cell)
+            else:
+                expected = sum(c.neighbor == value for bucket in dense for c in bucket)
+                assert sf.remove_cells_with_neighbor(value) == expected
+                dense = [[c for c in bucket if c.neighbor != value] for bucket in dense]
+        assert list(sf.all_cells()) == [cell for bucket in dense for cell in bucket]
+        assert sf.used_slot_offsets() == [o for o, bucket in enumerate(dense) if bucket]
+        assert sf.free_slot_offsets() == [o for o, bucket in enumerate(dense) if not bucket]
+        assert len(sf) == sum(map(len, dense))
+        for offset in range(length):
+            assert sf.cells_at(offset) == dense[offset]
+        assert all(sf._table.values())
+
+
 class TestCduRendering:
     def test_render_contains_labels(self):
         sf = Slotframe(0, 6)

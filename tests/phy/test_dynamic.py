@@ -123,18 +123,22 @@ class TestDriver:
     def test_restore_is_bit_exact(self):
         network = _network()
         medium = network.medium
-        pristine = {
-            sender: list(medium._prr_rows[sender]) for sender in medium.node_ids()
-        }
+        ids = medium.node_ids()
+
+        def link_table():
+            return [[medium.link_prr(a, b) for b in ids] for a in ids]
+
+        pristine = link_table()
         driver = DynamicMediumDriver(network, default_drift_policy(seed=2))
-        medium.set_link_prr_scales(driver.draw_scale_rows(0))
-        assert medium._prr_rows != pristine or all(
-            value == 1.0 for row in driver.draw_scale_rows(0).values() for value in row
-        )
+        rows = driver.draw_scale_rows(0)
+        medium.set_link_prr_scales(rows)
+        # Every usable link carries exactly its drawn factor.
+        assert link_table() == [
+            [value * rows[a][column] for column, value in enumerate(row)]
+            for a, row in zip(ids, pristine)
+        ]
         medium.set_link_prr_scales(None)
-        assert {
-            sender: list(medium._prr_rows[sender]) for sender in medium.node_ids()
-        } == pristine
+        assert link_table() == pristine
 
 
 class TestFrozenSnapshotGuard:

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
@@ -206,17 +205,52 @@ class TestFreeze:
         donor = self._medium()
         donor.freeze()
         snapshot = donor.export_frozen()
-        shared_np = snapshot["np_prr"]
-        before = None if shared_np is None else shared_np.tobytes()
+        pristine = [[donor.link_prr(a, b) for b in range(4)] for a in range(4)]
         adopter = self._medium()
         assert adopter.adopt_frozen(snapshot)
         adopter.set_prr_scale(0.5)
-        assert adopter.link_prr(0, 1) == 0.5 * donor.link_prr(0, 1)
-        assert snapshot["prr_rows"] is donor._prr_rows
-        if shared_np is not None:
-            assert adopter._np_prr is not shared_np
-            assert shared_np.tobytes() == before
-            assert adopter._np_prr[0, 1] == adopter.link_prr(0, 1)
+        assert [[adopter.link_prr(a, b) for b in range(4)] for a in range(4)] == [
+            [0.5 * value for value in row] for row in pristine
+        ]
+        # Neither the donor nor a later adopter of the same snapshot sees the
+        # epoch, in link queries or in arbitration.
+        late = self._medium()
+        assert late.adopt_frozen(snapshot)
+        for medium in (donor, late):
+            assert [[medium.link_prr(a, b) for b in range(4)] for a in range(4)] == pristine
+        outcomes = []
+        for medium in (self._medium(), late):
+            medium.freeze()
+            medium.rng = random.Random(3)
+            delivered = [
+                medium.resolve_slot([unicast(0, 1, 15)], {1: 15, 2: 15})[0].delivered
+                for _ in range(16)
+            ]
+            outcomes.append((delivered, medium.rng.random()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_thresholded_neighbors_filter_the_frozen_map(self):
+        """Same lists, same order as the lazy scan, without a per-node scan."""
+        positions = {9: (0.0, 0.0), 4: (31.0, 0.0), 7: (10.0, 5.0), 1: (44.0, 0.0), 5: (0.0, 40.0)}
+
+        def medium():
+            built = Medium(UnitDiskLossyEdgeModel(), random.Random(0))
+            for node_id, position in positions.items():
+                built.register_node(node_id, position)
+            return built
+
+        lazy, frozen = medium(), medium()
+        frozen.freeze()
+
+        def no_scan(sender, receiver):
+            raise AssertionError("neighbors_of scanned every node")
+
+        frozen.link_prr = no_scan
+        for node_id in positions:
+            for threshold in (0.0, 0.5, 0.9, 0.97):
+                assert frozen.neighbors_of(node_id, threshold) == lazy.neighbors_of(
+                    node_id, threshold
+                )
 
     def test_audience_of_is_the_interference_neighbourhood(self):
         medium = self._medium()
@@ -265,59 +299,81 @@ class TestFreeze:
         assert run(fast_paths=True, frozen=True) == baseline
 
 
-class TestVectorisedSameChannelResolve:
-    """The numpy-accelerated audible scan must match the pure-Python scans."""
+def _intent(sender, channel, destination):
+    """A unicast intent to ``destination``, or a broadcast when it is None."""
+    if destination is not None:
+        return unicast(sender, destination, channel)
+    packet = make_data_packet(sender, BROADCAST_ADDRESS, created_at=0.0)
+    packet.link_source = sender
+    packet.link_destination = BROADCAST_ADDRESS
+    return TransmissionIntent(sender=sender, packet=packet, channel=channel, expects_ack=False)
 
-    def _random_medium(self, seed):
-        rng = random.Random(seed)
-        positions = {node_id: (rng.uniform(0, 60), rng.uniform(0, 60)) for node_id in range(24)}
-        model = UnitDiskLossyEdgeModel(
-            reliable_range=15.0, communication_range=25.0, interference_range=40.0
+
+@st.composite
+def _slot_cases(draw):
+    """A layout, one slot's intents and its listeners in a shuffled order."""
+    count = draw(st.integers(min_value=2, max_value=12))
+    coordinate = st.integers(min_value=0, max_value=24).map(lambda step: 4.0 * step)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=count, max_size=count))
+    nodes = draw(st.permutations(range(count)))
+    num_senders = draw(st.integers(min_value=1, max_value=min(5, count - 1)))
+    channels = st.sampled_from([11, 12])
+    intents = []
+    for sender in nodes[:num_senders]:
+        others = [node for node in range(count) if node != sender]
+        destination = draw(st.one_of(st.none(), st.sampled_from(others)))
+        intents.append((sender, draw(channels), destination))
+    listeners = [
+        (node, draw(channels))
+        for node in draw(st.permutations(nodes[num_senders:]))
+        if draw(st.booleans()) or count < 4
+    ]
+    return points, intents, listeners, draw(st.integers(min_value=0, max_value=2**16))
+
+
+class TestTransmitterCentricResolve:
+    """The frozen medium's transmitter-centric path against the reference."""
+
+    @staticmethod
+    def _run(case, frozen, fast_paths):
+        points, intents, listeners, seed = case
+        medium = Medium(
+            UnitDiskLossyEdgeModel(
+                reliable_range=12.0, communication_range=40.0, interference_range=60.0
+            ),
+            random.Random(seed),
         )
-        medium = Medium(model, random.Random(seed + 1))
-        for node_id, position in positions.items():
-            medium.register_node(node_id, position)
-        medium.freeze()
-        return medium, rng
+        for node_id, point in enumerate(points):
+            medium.register_node(node_id, point)
+        if frozen:
+            medium.freeze()
+        medium.fast_paths = fast_paths
+        listening = dict(listeners)
+        by_channel = {}
+        for node_id, channel in listening.items():
+            by_channel.setdefault(channel, []).append(node_id)
+        results = medium.resolve_slot(
+            [_intent(*intent) for intent in intents], listening, by_channel
+        )
+        outcome = [(r.receivers, r.delivered, r.acked, r.collided) for r in results]
+        return outcome, medium.total_collisions, medium.rng.random()
 
-    def _mixed_slot(self, rng):
-        intents = []
-        senders = rng.sample(range(24), 5)
-        for sender in senders[:3]:
-            packet = make_data_packet(sender, BROADCAST_ADDRESS, created_at=0.0)
-            packet.link_source = sender
-            packet.link_destination = BROADCAST_ADDRESS
-            intents.append(
-                TransmissionIntent(sender=sender, packet=packet, channel=20, expects_ack=False)
-            )
-        for sender in senders[3:]:
-            receiver = rng.choice([n for n in range(24) if n not in senders])
-            intents.append(unicast(sender, receiver, channel=20))
-        listeners = {n: 20 for n in range(24) if n not in senders}
-        return intents, listeners
-
-    def test_numpy_path_matches_list_path(self):
-        pytest.importorskip("numpy")
-        for seed in range(6):
-            outcomes = []
-            for use_numpy in (True, False):
-                medium, rng = self._random_medium(seed)
-                if not use_numpy:
-                    medium._np_interf = None
-                intents, listeners = self._mixed_slot(random.Random(seed + 100))
-                results = medium.resolve_slot(intents, dict(listeners))
-                outcomes.append(
-                    (
-                        [
-                            (sorted(r.receivers), r.delivered, r.acked, r.collided)
-                            for r in results
-                        ],
-                        medium.total_collisions,
-                        # The RNG stream must be consumed identically.
-                        medium.rng.random(),
-                    )
-                )
-            assert outcomes[0] == outcomes[1], f"seed {seed}"
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=_slot_cases())
+    # Listeners handed over in reverse registration order: draws must follow
+    # the caller's order, not the ids' registration order.
+    @example(
+        case=(
+            [(0.0, 0.0), (16.0, 0.0), (28.0, 0.0), (36.0, 0.0)],
+            [(0, 11, None)],
+            [(3, 11), (2, 11), (1, 11)],
+            1,
+        )
+    )
+    def test_matches_the_reference_path(self, case):
+        reference = self._run(case, frozen=False, fast_paths=False)
+        assert self._run(case, frozen=True, fast_paths=False) == reference
+        assert self._run(case, frozen=True, fast_paths=True) == reference
 
 
 class RingModel(PropagationModel):
@@ -356,7 +412,11 @@ MODELS = {
 
 
 def all_pairs_tables(model, positions):
-    """Reference tables: query the model for every ordered pair."""
+    """Reference tables: query the model for every ordered pair.
+
+    Returns per-sender PRR and interference rows over every node (in
+    registration order) and per-sender neighbour and audience lists.
+    """
     ids = list(positions)
     prr_rows, interf_rows, neighbors, audience = {}, {}, {}, {}
     for a in ids:
@@ -367,12 +427,10 @@ def all_pairs_tables(model, positions):
             False if a == b else model.in_interference_range(positions[a], positions[b])
             for b in ids
         ]
-        neighbors[(a, 0.0)] = [
+        neighbors[a] = [
             b for index, b in enumerate(ids) if b != a and prr_rows[a][index] > 0.0
         ]
-        audience[a] = frozenset(
-            b for index, b in enumerate(ids) if interf_rows[a][index]
-        )
+        audience[a] = [b for index, b in enumerate(ids) if interf_rows[a][index]]
     return prr_rows, interf_rows, neighbors, audience
 
 
@@ -406,24 +464,14 @@ class TestGridFreeze:
         medium.freeze()
 
         prr_rows, interf_rows, neighbors, audience = all_pairs_tables(model, positions)
-        assert medium._ids == list(positions)
-        assert medium._prr_rows == prr_rows
-        assert list(medium._prr_rows) == list(prr_rows)
-        assert medium._interf_rows == interf_rows
-        assert medium._neighbors_cache == neighbors
-        assert list(medium._neighbors_cache) == list(neighbors)
-        assert medium._audience == audience
-        # Same insertion order, hence the same frozenset iteration order.
-        for node_id, members in audience.items():
-            assert list(medium._audience[node_id]) == list(members)
-        if medium._np_prr is not None:
-            import numpy
-
-            ids = medium._ids
-            expected_prr = numpy.array([prr_rows[a] for a in ids], dtype=float)
-            expected_interf = numpy.array([interf_rows[a] for a in ids], dtype=bool)
-            assert medium._np_prr.tobytes() == expected_prr.tobytes()
-            assert medium._np_interf.tobytes() == expected_interf.tobytes()
+        ids = list(positions)
+        assert list(medium.node_ids()) == ids
+        for a in ids:
+            assert [medium.link_prr(a, b) for b in ids] == prr_rows[a]
+            assert [medium.interferes(a, b) for b in ids] == interf_rows[a]
+            # Same members in the same (registration) order.
+            assert list(medium.audience_of(a)) == audience[a]
+            assert medium.neighbors_of(a) == neighbors[a]
 
     def test_models_without_cutoff_query_every_pair(self):
         class CountingFixed(FixedPrrModel):
@@ -440,6 +488,38 @@ class TestGridFreeze:
             medium.register_node(spec.node_id, spec.position)
         medium.freeze()
         assert model.calls == 60 * 59
+
+    def test_frozen_maps_grow_linearly_on_scale_topology(self):
+        """Machine-independent memory gate: the frozen medium stores O(N*k)
+        entries (doubling N at most ~doubles them) and no per-sender
+        container spans every node."""
+
+        def footprint(num_nodes):
+            medium = Medium(UnitDiskLossyEdgeModel(), random.Random(0))
+            for spec in scale_topology(num_nodes):
+                medium.register_node(spec.node_id, spec.position)
+            medium.freeze()
+            rows = [
+                row
+                for table in vars(medium).values()
+                if isinstance(table, dict)
+                for row in table.values()
+                if isinstance(row, (list, dict, set, frozenset))
+            ]
+            assert rows and max(map(len, rows)) < num_nodes
+            return sum(map(len, rows))
+
+        small, large = footprint(1000), footprint(2000)
+        assert large <= 2.2 * small, (small, large)
+
+    def test_medium_does_not_import_numpy(self):
+        import repro.phy.medium as medium_module
+
+        assert not [
+            name
+            for name, value in vars(medium_module).items()
+            if getattr(value, "__name__", "").split(".")[0] == "numpy"
+        ]
 
     def test_prr_queries_grow_linearly_on_scale_topology(self):
         """Deterministic work-count gate: doubling N at most ~doubles the
