@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.game import (
     GameWeights,
@@ -36,24 +37,26 @@ from repro.core.game import (
     payoff,
     payoff_second_derivative,
 )
-from repro.sim.accel import numpy_or_none
 
-# numpy is a hard dependency of the *numeric verification* functions below
-# (they exist to sample derivatives and quadratic forms), not of the
-# simulator: the shared gate keeps detection in one place, and
-# ``ignore_disable=True`` means the REPRO_NO_NUMPY escape hatch -- which
-# forces the kernel's pure-Python fallbacks -- does not break analyses that
-# have no fallback to force.
-np = numpy_or_none(ignore_disable=True)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
-def _require_numpy() -> None:
-    if np is None:
+def _numpy() -> ModuleType:
+    """Import numpy for the numeric verification functions below.
+
+    numpy is a hard dependency of these analyses (they sample derivatives
+    and quadratic forms), not of the simulator: importing it here, at call
+    time, keeps it out of every process that only simulates.
+    """
+    try:
+        import numpy
+    except ImportError as exc:
         raise ImportError(
             "repro.core.nash numeric verification requires numpy; "
             "install it to run the equilibrium analyses"
-        )
-
+        ) from exc
+    return numpy
 
 
 @dataclass
@@ -103,7 +106,7 @@ def verify_concavity(
     samples: int = 32,
 ) -> bool:
     """Check Eq. (10): the second derivative is negative across the strategy set."""
-    _require_numpy()
+    np = _numpy()
     weights = weights or GameWeights()
     lower = state.l_tx_min
     upper = max(state.l_rx_parent, lower + 1.0)
@@ -121,7 +124,7 @@ def pseudo_gradient_jacobian(
     Player ``i``'s payoff depends only on ``s_i``, so the Jacobian is diagonal
     with entries ``∂²v_i/∂s_i²``; the off-diagonal terms are exactly zero.
     """
-    _require_numpy()
+    np = _numpy()
     weights = weights or GameWeights()
     n = len(players)
     jacobian = np.zeros((n, n))
@@ -144,7 +147,7 @@ def verify_diagonal_strict_concavity(
     with strictly negative entries, the quadratic form is negative definite;
     the numeric check documents that rather than assuming it.
     """
-    _require_numpy()
+    np = _numpy()
     weights = weights or GameWeights()
     rng = rng or np.random.default_rng(7)
     if not players:
@@ -185,7 +188,7 @@ def is_nash_equilibrium(
     the check passes when no sampled deviation improves the player's payoff
     by more than ``tolerance``.
     """
-    _require_numpy()
+    np = _numpy()
     weights = weights or GameWeights()
     for player, strategy in zip(players, profile):
         lower = player.l_tx_min

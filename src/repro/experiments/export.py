@@ -2,32 +2,29 @@
 
 The figure runners return :class:`repro.experiments.runner.FigureResult`
 objects; these helpers serialise them so results can be archived, diffed
-across code versions, or plotted with external tooling (the repository itself
-stays dependency-free beyond numpy).
+across code versions, or plotted with external tooling (stdlib only).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from typing import TYPE_CHECKING
-
-from repro.sim.accel import numpy_or_none
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import FigureResult
 
 
 def _native(value):
-    """Coerce numpy scalars (from seed-averaged rows) to Python builtins.
+    """Coerce numpy scalars to Python builtins.
 
-    Aggregated figure rows may carry ``numpy.float64`` means when the
-    optional accelerator is installed; ``json`` refuses them and CSV would
-    serialise their repr.  Detection goes through the shared
-    :func:`repro.sim.accel.numpy_or_none` gate so exports behave identically
-    on numpy-less installs.
+    Rows a caller built with numpy may carry e.g. ``numpy.float64`` values;
+    ``json`` refuses them and CSV would serialise their repr.  The check
+    reads ``sys.modules`` instead of importing numpy: if numpy was never
+    imported, no value can be a numpy scalar.
     """
-    np = numpy_or_none()
+    np = sys.modules.get("numpy")
     if np is not None and isinstance(value, np.generic):
         return value.item()
     return value

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -119,6 +120,13 @@ def run_scenario(scenario: Scenario) -> NetworkMetrics:
         scheduler_name=scenario.scheduler,
     )
     LAST_QUEUE_STATS = network.events.stats()
+    # A finished network is one large reference cycle (nodes, engines and
+    # timers point back at each other) that reference counting never frees.
+    # Collecting it here keeps it from piling up under the next cell and
+    # keeps its reclamation out of whichever later cell's set-up the
+    # collector's allocation thresholds would land in.
+    del network
+    gc.collect()
     return metrics
 
 

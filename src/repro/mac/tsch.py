@@ -631,8 +631,10 @@ class TschEngine:
         #: pure function of (slot-offset residue, hopping phase); this caches
         #: it so the common listen/sleep decision is one dict lookup.
         self._idle_plan_cache: dict[tuple[int, int], SlotPlan] = {}
-        #: Per-residue idle listen decision (channel *offset* of the winning
-        #: RX cell, or None for sleep), keyed by the slotframe residue(s).
+        #: Idle listen decision (channel *offset* of the winning RX cell, or
+        #: None for sleep), keyed by the slot-offset residue on a single
+        #: slotframe and by the memoised active-cell list's identity on
+        #: several, so it never outgrows ``_active_cache``.
         #: The network's audience pass uses it to decide a non-backlogged
         #: node's radio state without building a SlotPlan at all.
         self._idle_rx_cache: dict[object, Optional[int]] = {}
@@ -829,8 +831,8 @@ class TschEngine:
 
         Only valid for a node whose slot provably cannot involve its queue or
         CSMA state (empty queue in particular): the decision then reduces to
-        "first RX cell in planning order, if any", which is memoised per
-        slot-offset residue.  Exactly :meth:`plan_slot`'s fall-through
+        "first RX cell in planning order, if any", which is memoised in
+        ``_idle_rx_cache``.  Exactly :meth:`plan_slot`'s fall-through
         listen/sleep choice, without allocating or interning a plan.
         """
         version = self._version
@@ -840,15 +842,26 @@ class TschEngine:
         frames = self._frames
         if frames is None:
             frames = self._sorted_frames()
+        active: Optional[list[Cell]] = None
         if len(frames) == 1:
             key: object = asn % frames[0].length
         else:
-            key = tuple(asn % frame.length for frame in frames)
+            # The raw residue tuple cycles with the lcm of the slotframe
+            # lengths (thousands of slots), so key by the memoised
+            # active-cell list instead, as plan_slot does: it is alive and
+            # unique for the current schedule version, and this cache is
+            # dropped together with it.
+            active = self._active_cells(asn)
+            if not active:
+                return None
+            key = id(active)
         cache = self._idle_rx_cache
         if key in cache:
             return cache[key]
+        if active is None:
+            active = self._active_cells(asn)
         offset: Optional[int] = None
-        for cell in self._active_cells(asn):
+        for cell in active:
             if cell.is_rx:
                 offset = cell.channel_offset
                 break

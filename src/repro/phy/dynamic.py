@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.frozen import reduce_frozen
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +64,7 @@ class DynamicMediumPolicy:
         "scale_high",
         "link_fraction",
     )
+    __reduce__ = reduce_frozen
 
     seed: int
     start_s: float

@@ -33,6 +33,7 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.msf import sax_hash
 from repro.schedulers.registry import register_scheduler
+from repro.sim.frozen import reduce_frozen
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class DebrasConfig:
         "num_broadcast_cells",
         "broadcast_channel_offset",
     )
+    __reduce__ = reduce_frozen
 
     slotframe_length: int
     num_channels: int

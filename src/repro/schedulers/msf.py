@@ -40,6 +40,7 @@ from repro.net.packet import Packet, PacketType
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.registry import register_scheduler
 from repro.sim.events import PeriodicTimer
+from repro.sim.frozen import reduce_frozen
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
 
 #: RFC 9033 Section 5.3 defaults: evaluate the usage ratio every
@@ -83,6 +84,7 @@ class MsfConfig:
         "max_negotiated_tx",
         "housekeeping_period_s",
     )
+    __reduce__ = reduce_frozen
 
     slotframe_length: int
     num_channels: int

@@ -36,6 +36,7 @@ from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.msf import sax_hash
 from repro.schedulers.registry import register_scheduler
 from repro.sim.events import PeriodicTimer
+from repro.sim.frozen import reduce_frozen
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class OtfConfig:
         "hysteresis_lanes",
         "allocation_period_s",
     )
+    __reduce__ = reduce_frozen
 
     slotframe_length: int
     num_channels: int

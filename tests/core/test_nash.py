@@ -127,3 +127,17 @@ class TestNashEquilibrium:
         players = [player(l_min=1.0), player(l_min=3.0)]
         profile = equilibrium_profile(players, integral=True)
         assert all(value == int(value) for value in profile)
+
+
+class TestNumpyIsImportedOnCall:
+    def test_checks_need_numpy_only_when_called(self, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        players = [player(), player(l_min=2.0)]
+        profile = best_response_dynamics(players).profile
+        assert profile == equilibrium_profile(players)
+        with pytest.raises(ImportError, match="requires numpy"):
+            verify_concavity(players[0])
+        with pytest.raises(ImportError, match="requires numpy"):
+            is_nash_equilibrium(profile, players)

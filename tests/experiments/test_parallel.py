@@ -5,6 +5,8 @@ import json
 import logging
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,7 +18,7 @@ from repro.experiments.parallel import (
     run_scenarios,
     scenario_fingerprint,
 )
-from repro.experiments.runner import run_figure8
+from repro.experiments.runner import run_churn_dynamic, run_figure8
 from repro.experiments.scenarios import GT_TSCH, ORCHESTRA, traffic_load_scenario
 from repro.metrics.aggregate import MetricsAggregate
 
@@ -219,6 +221,26 @@ class TestWorkerCrashSurvival:
             engine.run_scenarios(scenarios, jobs=2, persistent_pool=False)
 
 
+class TestCellReclamation:
+    def test_run_scenario_leaves_no_network_behind(self):
+        import gc
+
+        from repro.net.network import Network
+
+        def networks():
+            return sum(isinstance(obj, Network) for obj in gc.get_objects())
+
+        gc.disable()  # only run_scenario's own collection may free it
+        try:
+            gc.collect()
+            before = networks()
+            run_scenario(fast_scenario())
+            after = networks()
+        finally:
+            gc.enable()
+        assert after == before
+
+
 class TestParallelParity:
     def test_run_scenarios_parallel_is_bit_identical(self):
         scenarios = [fast_scenario(seed=seed) for seed in (1, 2)]
@@ -259,6 +281,79 @@ class TestParallelParity:
         run_scenarios(scenarios, jobs=2, cache=rerun_cache)
         assert rerun_cache.hits == 2
         assert rerun_cache.misses == 0
+
+    def test_churn_dynamic_cells_ship_to_the_pool(self):
+        """Link-drift cells carry a slotted frozen policy that must pickle."""
+        kwargs = dict(
+            crash_counts=(1,),
+            schedulers=(GT_TSCH, ORCHESTRA),
+            measurement_s=14.0,
+            warmup_s=8.0,
+        )
+        serial = run_churn_dynamic(jobs=1, **kwargs)
+        pooled = run_churn_dynamic(jobs=2, **kwargs)
+        assert pooled.rows() == serial.rows()
+
+
+#: Runs one cell serially and two on a 2-worker pool, then reports whether
+#: numpy is loaded in the parent and in the workers, plus every cell's full
+#: metrics.  ``blocked`` makes numpy unimportable first.
+_NUMPY_PROBE = """
+import dataclasses, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import repro
+from repro.experiments import parallel
+from repro.experiments.scenarios import traffic_load_scenario
+
+def numpy_loaded(_=None):
+    return sys.modules.get("numpy") is not None
+
+cells = [
+    traffic_load_scenario(rate_ppm=120.0, scheduler="GT-TSCH", seed=seed,
+                          measurement_s=5.0, warmup_s=8.0)
+    for seed in (1, 2)
+]
+serial = parallel.run_scenarios(cells[:1], jobs=1, cache=None)
+pooled = parallel.run_scenarios(cells, jobs=2, cache=None)
+workers = parallel.get_pool(2).map(numpy_loaded, range(4), chunksize=1)
+parallel.shutdown_pool()
+print(json.dumps({
+    "parent": numpy_loaded(),
+    "workers": workers,
+    "metrics": [repr(dataclasses.asdict(m)) for m in serial + pooled],
+}))
+"""
+
+
+class TestNumpyFreeProcesses:
+    """No simulator process imports numpy, and none needs it."""
+
+    @staticmethod
+    def _probe(mode):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, mode],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        return json.loads(completed.stdout.strip().splitlines()[-1])
+
+    def test_pooled_run_leaves_numpy_unimported_and_unneeded(self):
+        plain = self._probe("plain")
+        assert plain["parent"] is False
+        assert plain["workers"] == [False] * 4
+        assert plain["metrics"][0] == plain["metrics"][1]
+        blocked = self._probe("blocked")
+        assert blocked["metrics"] == plain["metrics"]
 
 
 class TestFreezeCache:

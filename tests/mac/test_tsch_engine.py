@@ -1,5 +1,6 @@
 """Tests for the per-node TSCH engine (cell selection, ACKs, retransmissions)."""
 
+import math
 import random
 
 import pytest
@@ -403,3 +404,54 @@ class TestScheduleProfile:
         # Settling again for the same ASN is a no-op.
         engine.settle_duty_cycle(24)
         assert meter.total_slots == 24
+
+
+class TestIdleListenMemo:
+    """``idle_listen_channel_offset`` on Orchestra's co-prime slotframes."""
+
+    @staticmethod
+    def _orchestra_engine(cache_enabled=True):
+        from repro.schedulers.orchestra import OrchestraConfig
+
+        config = OrchestraConfig()
+        engine = make_engine()
+        engine.cache_enabled = cache_enabled
+        eb = engine.add_slotframe(0, config.eb_slotframe_length)
+        eb.add_cell(Cell(slot_offset=3, channel_offset=0, options=CellOption.TX))
+        eb.add_cell(Cell(slot_offset=17, channel_offset=0, options=CellOption.RX))
+        common = engine.add_slotframe(1, config.common_slotframe_length)
+        common.add_cell(
+            Cell(
+                slot_offset=0,
+                channel_offset=1,
+                options=CellOption.TX | CellOption.RX | CellOption.SHARED,
+            )
+        )
+        unicast = engine.add_slotframe(2, config.unicast_slotframe_length)
+        unicast.add_cell(Cell(slot_offset=5, channel_offset=4, options=CellOption.RX))
+        unicast.add_cell(
+            Cell(slot_offset=2, channel_offset=3, options=CellOption.TX, neighbor=9)
+        )
+        return engine
+
+    def test_memo_stays_bounded_over_two_hyperperiods(self):
+        engine = self._orchestra_engine()
+        reference = self._orchestra_engine(cache_enabled=False)
+        lengths = [frame.length for frame in engine.slotframes.values()]
+        hyperperiod = math.lcm(*lengths)
+        assert hyperperiod == 8 * 31 * 41
+        for asn in range(2 * hyperperiod):
+            if asn == hyperperiod:
+                # A mutation mid-run drops both caches together.
+                for candidate in (engine, reference):
+                    candidate.slotframes[2].add_cell(
+                        Cell(slot_offset=7, channel_offset=5, options=CellOption.RX)
+                    )
+            offset = engine.idle_listen_channel_offset(asn)
+            plan = reference.plan_slot(asn)
+            if offset is None:
+                assert plan.action == "sleep", asn
+            else:
+                assert plan.action == "rx", asn
+                assert plan.channel == engine.hopping.channel_for(asn, offset), asn
+            assert len(engine._idle_rx_cache) <= len(engine._active_cache), asn
