@@ -15,7 +15,6 @@ from collections import deque
 from collections.abc import Iterable
 from typing import Optional
 
-from repro.kernel.state import PTYPE_INDEX, LocalBacking, NodeStateStore, bind_backing
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType
 
 
@@ -32,8 +31,7 @@ class TxQueue:
         "capacity",
         "prioritize_control",
         "_queue",
-        "_backing",
-        "_row",
+        "_ptype_counts",
         "drops",
         "data_drops",
         "max_occupancy",
@@ -45,24 +43,16 @@ class TxQueue:
         self.capacity = capacity
         self.prioritize_control = prioritize_control
         self._queue: deque[Packet] = deque()
-        #: Queued packets per :class:`PacketType` and the queue occupancy are
-        #: maintained in the struct-of-arrays backing row (see
-        #: :mod:`repro.kernel.state`): periodic protocol probes (the EB timer
-        #: in particular) ask "is one of mine queued?" every tick, which the
-        #: count row answers in O(1), and the dispatch kernel scans backlog
-        #: over the ``queue_len`` column without touching queue objects.
-        self._backing = LocalBacking()
-        self._row = 0
+        #: Queued packets per :class:`PacketType`, maintained by add/remove:
+        #: periodic protocol probes (the EB timer in particular) ask "is one
+        #: of mine queued?" every tick, which this answers in O(1).
+        self._ptype_counts = dict.fromkeys(PacketType, 0)
         #: Number of packets dropped because the queue was full.
         self.drops = 0
         #: Number of *data* packets dropped because the queue was full.
         self.data_drops = 0
         #: High-water mark, useful for tests and diagnostics.
         self.max_occupancy = 0
-
-    def bind(self, store: NodeStateStore, row: int) -> None:
-        """Move the occupancy/per-type counts onto ``store[row]``."""
-        bind_backing(self, store, row, ("queue_len", "ptype_counts"))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -99,7 +89,7 @@ class TxQueue:
                     self.data_drops += 1
                 return False
             self._queue.remove(evicted)
-            self._backing.ptype_counts[self._row][PTYPE_INDEX[evicted.ptype]] -= 1
+            self._ptype_counts[evicted.ptype] -= 1
             self.drops += 1
             self.data_drops += 1
         if self.prioritize_control and packet.is_control:
@@ -115,8 +105,7 @@ class TxQueue:
                 self._queue.append(packet)
         else:
             self._queue.append(packet)
-        self._backing.ptype_counts[self._row][PTYPE_INDEX[packet.ptype]] += 1
-        self._backing.queue_len[self._row] = len(self._queue)
+        self._ptype_counts[packet.ptype] += 1
         self.max_occupancy = max(self.max_occupancy, len(self._queue))
         return True
 
@@ -142,7 +131,7 @@ class TxQueue:
 
     def contains_ptype(self, ptype: PacketType) -> bool:
         """Whether any queued packet has the given type (O(1) count lookup)."""
-        return bool(self._backing.ptype_counts[self._row][PTYPE_INDEX[ptype]])
+        return bool(self._ptype_counts[ptype])
 
     def remove(self, packet: Packet) -> bool:
         """Remove a specific packet instance (after delivery or drop)."""
@@ -150,8 +139,7 @@ class TxQueue:
             self._queue.remove(packet)
         except ValueError:
             return False
-        self._backing.ptype_counts[self._row][PTYPE_INDEX[packet.ptype]] -= 1
-        self._backing.queue_len[self._row] = len(self._queue)
+        self._ptype_counts[packet.ptype] -= 1
         return True
 
     def pending_for(self, neighbor: Optional[int]) -> int:
@@ -190,7 +178,4 @@ class TxQueue:
 
     def clear(self) -> None:
         self._queue.clear()
-        counts = self._backing.ptype_counts[self._row]
-        for index in range(len(counts)):
-            counts[index] = 0
-        self._backing.queue_len[self._row] = 0
+        self._ptype_counts = dict.fromkeys(PacketType, 0)

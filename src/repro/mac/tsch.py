@@ -31,7 +31,6 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.mac.csma import CsmaBackoff
 from repro.mac.duty_cycle import DutyCycleMeter
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE, ChannelHopping
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.mac.queue import TxQueue
 from repro.mac.slotframe import Slotframe
 from repro.net.packet import BROADCAST_ADDRESS, Packet
@@ -70,6 +69,16 @@ class TschConfig:
     #: EB scan.  0 disables the keepalive (the default -- converged-network
     #: scenarios never desynchronise).
     desync_timeout_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Both knobs are only read once a cold-start node runs: reject bad
+        # values here instead of mid-run (a zero dwell divides by zero in
+        # scan_channel; a negative or NaN timeout silently disables the
+        # keepalive watchdog).
+        if not isinstance(self.scan_dwell_slots, int) or self.scan_dwell_slots < 1:
+            raise ValueError("scan_dwell_slots must be a positive integer")
+        if not math.isfinite(self.desync_timeout_s) or self.desync_timeout_s < 0.0:
+            raise ValueError("desync_timeout_s must be finite and non-negative")
 
 
 class SlotPlan:
@@ -601,19 +610,8 @@ class TschEngine:
         #: ``[duty_accounted_asn, clock.asn)`` not yet recorded on the meter
         #: are slots the node provably spent sleeping or idle-listening per
         #: its (constant-over-the-window) schedule, credited lazily in bulk
-        #: by :meth:`settle_duty_cycle`.  Stored in the struct-of-arrays
-        #: backing row (see :meth:`bind_state`) so the network's bulk
-        #: settlement reads the watermark column directly.
-        self._backing = LocalBacking()
-        self._row = 0
+        #: by :meth:`settle_duty_cycle`.
         self.duty_accounted_asn = 0
-        # Consolidate the sub-views onto this engine's own backing row, so a
-        # standalone engine (no network) behaves exactly like a bound one:
-        # the fused accounting paths below write the meter columns through
-        # ``self._backing`` unconditionally.
-        bind_backing(self.queue, self._backing, 0, ("queue_len", "ptype_counts"))
-        bind_backing(self.duty_cycle, self._backing, 0, DutyCycleMeter._COLUMNS)
-        bind_backing(self.etx, self._backing, 0, ("etx_version",))
         #: Slotframes sorted by handle (the planning precedence order).
         self._frames: Optional[list[Slotframe]] = None
         #: Memoised sorted active-cell lists keyed by slot-offset residue(s).
@@ -676,30 +674,6 @@ class TschEngine:
         #: Upper-layer callback invoked with (packet, success, asn) when a
         #: unicast packet leaves the MAC (delivered or dropped after retries).
         self.tx_done_callback: Optional[Callable[[Packet, bool, int], None]] = None
-
-    # ------------------------------------------------------------------
-    # struct-of-arrays view plumbing
-    # ------------------------------------------------------------------
-    @property
-    def duty_accounted_asn(self) -> int:
-        return int(self._backing.duty_accounted_asn[self._row])
-
-    @duty_accounted_asn.setter
-    def duty_accounted_asn(self, value: int) -> None:
-        self._backing.duty_accounted_asn[self._row] = value
-
-    def bind_state(self, store: NodeStateStore, row: int) -> None:
-        """Move this engine's hot state onto ``store[row]``.
-
-        Binds the engine's own deferred-accounting watermark plus its
-        queue's, meter's and ETX estimator's columns; values accumulated on
-        the standalone backings are preserved.  Called once per node by
-        :meth:`repro.net.network.Network.add_node`.
-        """
-        bind_backing(self, store, row, ("duty_accounted_asn",))
-        self.queue.bind(store, row)
-        self.duty_cycle.bind(store, row)
-        self.etx.bind(store, row)
 
     # ------------------------------------------------------------------
     # slotframe management (used by scheduling functions)
@@ -896,21 +870,20 @@ class TschEngine:
         recording.  Callers that just mutated the schedule must pass the
         pre-mutation profile (see :meth:`cached_profile`).
         """
-        backing = self._backing
-        row = self._row
-        accounted = backing.duty_accounted_asn[row]
+        accounted = self.duty_accounted_asn
         if accounted >= asn:
             return
+        meter = self.duty_cycle
         if self._scanning:
             # Every scan slot is an idle listen (the reference loop records
             # record_rx(False) for each); slots in which the scanner decoded
             # a frame are credited eagerly through account_rx_frame_slot /
             # account_slot and never reach this window.
             window = asn - accounted
-            backing.rx_slots[row] += window
-            backing.idle_listen_slots[row] += window
-            backing.total_slots[row] += window
-            backing.duty_accounted_asn[row] = asn
+            meter.rx_slots += window
+            meter.idle_listen_slots += window
+            meter.total_slots += window
+            self.duty_accounted_asn = asn
             return
         if profile is None:
             # Inlined schedule_profile() version check (hot: one settle per
@@ -934,15 +907,13 @@ class TschEngine:
                 idle += (prefix[length] - prefix[start]) + prefix[start + rem - length]
         else:
             idle = profile.count_idle_listen(accounted, asn)
-        # The sub-views share this engine's backing (see __init__), so the
-        # meter columns are written directly -- the fused form of the
-        # meter's record_rx/record_sleep credits.
+        # The fused form of the meter's record_rx/record_sleep credits.
         if idle:
-            backing.rx_slots[row] += idle
-            backing.idle_listen_slots[row] += idle
-        backing.sleep_slots[row] += window - idle
-        backing.total_slots[row] += window
-        backing.duty_accounted_asn[row] = asn
+            meter.rx_slots += idle
+            meter.idle_listen_slots += idle
+        meter.sleep_slots += window - idle
+        meter.total_slots += window
+        self.duty_accounted_asn = asn
 
     def account_tx_slot(self, asn: int) -> None:
         """Settle the deferred window and record slot ``asn`` as a TX slot.
@@ -950,23 +921,21 @@ class TschEngine:
         Fused eager-accounting helper for the dispatch kernel's per-slot
         hot path (one call instead of settle + watermark + meter record).
         """
-        backing = self._backing
-        row = self._row
-        if backing.duty_accounted_asn[row] < asn:
+        if self.duty_accounted_asn < asn:
             self.settle_duty_cycle(asn)
-        backing.duty_accounted_asn[row] = asn + 1
-        backing.tx_slots[row] += 1
-        backing.total_slots[row] += 1
+        self.duty_accounted_asn = asn + 1
+        meter = self.duty_cycle
+        meter.tx_slots += 1
+        meter.total_slots += 1
 
     def account_rx_frame_slot(self, asn: int) -> None:
         """Settle the deferred window and record slot ``asn`` as a busy RX slot."""
-        backing = self._backing
-        row = self._row
-        if backing.duty_accounted_asn[row] < asn:
+        if self.duty_accounted_asn < asn:
             self.settle_duty_cycle(asn)
-        backing.duty_accounted_asn[row] = asn + 1
-        backing.rx_slots[row] += 1
-        backing.total_slots[row] += 1
+        self.duty_accounted_asn = asn + 1
+        meter = self.duty_cycle
+        meter.rx_slots += 1
+        meter.total_slots += 1
 
     # ------------------------------------------------------------------
     # cold-start EB scan (unsynchronised join)

@@ -56,7 +56,6 @@ from collections.abc import Callable
 from heapq import heappop, heappush
 from typing import Optional
 
-from repro.kernel.state import NodeStateStore
 from repro.mac.tsch import SlotPlan, next_offset_occurrence
 from repro.metrics.collector import MetricsCollector, NetworkMetrics
 from repro.net.node import Node, NodeConfig
@@ -85,8 +84,6 @@ class Network:
         fast: bool = True,
         timer_wheels: bool = True,
         csma_pruning: bool = True,
-        rank_memo: bool = True,
-        soa: bool = True,
     ) -> None:
         self.rngs = RngRegistry(seed)
         self.default_node_config = default_node_config or NodeConfig()
@@ -99,20 +96,6 @@ class Network:
         #: (bulk CSMA back-off settlement; ``False`` keeps the per-slot
         #: countdown of the reference loop -- results are identical).
         self.csma_pruning = csma_pruning
-        #: Enable RPL candidate-rank memoisation on every node built through
-        #: :meth:`add_node` (``False`` is the debugging escape hatch that
-        #: re-ranks on every reception; results are bit-identical either way
-        #: and independent of the ``fast`` kernel flag -- the protocol code
-        #: is shared by both slot loops).
-        self.rank_memo = rank_memo
-        #: Struct-of-arrays node-state store (see :mod:`repro.kernel.state`).
-        #: Every node's hot counters/flags live here regardless of ``soa``;
-        #: the flag only selects between the kernel's bulk array settlement
-        #: paths (``True``) and the per-object loops the reference semantics
-        #: are defined by (``False`` is the escape hatch -- results are
-        #: bit-identical either way, only the cost differs).
-        self.state = NodeStateStore()
-        self.soa = soa
         self.medium = Medium(
             propagation or UnitDiskLossyEdgeModel(), self.rngs.stream("phy")
         )
@@ -204,17 +187,12 @@ class Network:
             is_root=is_root,
         )
         node.set_metrics(self.metrics)
-        if not self.rank_memo:
-            node.rpl.memo_enabled = False
         if traffic is not None:
             node.set_traffic_generator(traffic)
         node.tsch.on_schedule_change = lambda bound=node: self._on_schedule_change(bound)
         node.tsch.on_queue_change = lambda bound=node: self._on_queue_change(bound)
         node.on_scan_state = self._on_scan_state
         node.clock = self.clock
-        # Adopt the node into the struct-of-arrays store: all of its views
-        # (liveness, timers, queue, meter, ETX, RPL rank) move onto one row.
-        node.bind_state(self.state, self.state.add_row())
         # A node created mid-run owes no duty-cycle accounting for the slots
         # that elapsed before it existed.
         node.tsch.duty_accounted_asn = self.clock.asn
@@ -509,21 +487,8 @@ class Network:
         # left lazy.
         for node_id in intent_owners:
             engines[node_id].account_tx_slot(asn)
-        if self.soa and len(nodes_that_received) > 2:
-            # Bulk flavour of account_rx_frame_slot: settle each receiver's
-            # deferred window first (profile-dependent, per node), then
-            # credit the busy-RX slot and the advanced watermark for all of
-            # them in one array operation.
-            rx_rows: list[int] = []
-            for node_id in sorted(nodes_that_received):
-                engine = engines[node_id]
-                if engine.duty_accounted_asn < asn:
-                    engine.settle_duty_cycle(asn)
-                rx_rows.append(engine._row)
-            self.state.account_rx_frames(rx_rows, asn)
-        else:
-            for node_id in sorted(nodes_that_received):
-                engines[node_id].account_rx_frame_slot(asn)
+        for node_id in sorted(nodes_that_received):
+            engines[node_id].account_rx_frame_slot(asn)
 
         self.clock.advance_slot()
 
@@ -758,57 +723,8 @@ class Network:
         per-slot loop's counters exactly.
         """
         asn = self.clock.asn
-        if not self.soa:
-            for node in self._node_list:
-                node.tsch.settle_duty_cycle(asn)
-            return
-        # Struct-of-arrays path: compute each node's idle-listen count under
-        # its (constant-over-the-window) profile exactly as
-        # :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle` would, then
-        # credit all counters in one bulk array operation.  Integer credits
-        # make the two orders indistinguishable (bit-identical).
-        store = self.state
-        accounted_col = store.duty_accounted_asn
-        rows: list[int] = []
-        idles: list[int] = []
-        windows: list[int] = []
         for node in self._node_list:
-            engine = node.tsch
-            row = engine._row
-            accounted = int(accounted_col[row])
-            if accounted >= asn:
-                continue
-            if engine._scanning:
-                # EB scan: every deferred slot was spent listening on the
-                # scan channel -- record_rx(False) per slot, which is
-                # exactly idle == window under settle_idle_rx.
-                window = asn - accounted
-                rows.append(row)
-                idles.append(window)
-                windows.append(window)
-                continue
-            profile = engine._profile
-            if profile is None or profile.version != engine._version:
-                profile = engine.schedule_profile()
-            window = asn - accounted
-            if not profile.has_rx:
-                idle = 0
-            elif profile._single:
-                length, _, prefix = profile._frames[0][:3]
-                full, rem = divmod(window, length)
-                idle = full * prefix[length]
-                start = accounted % length
-                if start + rem <= length:
-                    idle += prefix[start + rem] - prefix[start]
-                else:
-                    idle += (prefix[length] - prefix[start]) + prefix[start + rem - length]
-            else:
-                idle = profile.count_idle_listen(accounted, asn)
-            rows.append(row)
-            idles.append(idle)
-            windows.append(window)
-        if rows:
-            store.settle_idle_rx(rows, idles, windows, asn)
+            node.tsch.settle_duty_cycle(asn)
 
     def next_active_asn(self, asn: int) -> Optional[int]:
         """Smallest ASN >= ``asn`` at which any node has a cell installed.
@@ -868,7 +784,6 @@ class Network:
             occurrence = engine.schedule_profile().next_tx_asn(
                 asn, destinations, has_broadcast, has_unicast
             )
-        self.state.tx_horizon[engine._row] = -1 if occurrence is None else occurrence
         if occurrence is not None:
             heappush(
                 self._risky_heap,

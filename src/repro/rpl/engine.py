@@ -22,7 +22,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.net.packet import Packet
 from repro.rpl.messages import make_dao, make_dio
 from repro.rpl.rank import (
@@ -59,8 +58,9 @@ class RplConfig:
     #: state, neighbor-set and children-set membership), so a DIO that
     #: changes nothing settles without re-ranking and evaluations re-score
     #: only dirtied candidates.  Results are bit-identical either way;
-    #: ``False`` is the debugging escape hatch that re-scores everything on
-    #: every reception, as the seed engine did.
+    #: ``False`` re-scores everything on every reception, as the seed
+    #: engine did -- the independent oracle the memo equivalence tests
+    #: compare against (a test hook, not a tuning knob).
     rank_memo: bool = True
     #: Delay between selecting a parent and sending the DAO announcing it.
     dao_delay_s: float = 1.0
@@ -130,11 +130,6 @@ class RplEngine:
         self._etx_of = etx_of
         self._etx_state = etx_state
         self.is_root = is_root
-        #: Struct-of-arrays backing row for the node's own advertised rank
-        #: and joined flag (see :meth:`bind_state`); assigned before the
-        #: ``rank`` / ``preferred_parent`` properties below are first set.
-        self._backing = LocalBacking()
-        self._row = 0
         #: Rank-memo escape hatch (see :attr:`RplConfig.rank_memo`); may be
         #: flipped at any time -- the memo stamps conservatively re-score on
         #: the next evaluation after re-enabling.
@@ -164,9 +159,9 @@ class RplEngine:
         )
 
         self.dodag_id: Optional[int] = node_id if is_root else None
-        self.rank = config.root_rank if is_root else INFINITE_RANK
+        self.rank: int = config.root_rank if is_root else INFINITE_RANK
         self.version: int = 0
-        self.preferred_parent = None
+        self.preferred_parent: Optional[int] = None
         self.neighbors: dict[int, RplNeighbor] = {}
         self.children: set[int] = set()
 
@@ -196,34 +191,6 @@ class RplEngine:
         self.parent_evaluations = 0
         self.evaluations_skipped = 0
         self.candidate_recomputes = 0
-
-    # ------------------------------------------------------------------
-    # struct-of-arrays view plumbing
-    # ------------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        """The node's own advertised rank, stored in the ``adv_rank`` column."""
-        return int(self._backing.adv_rank[self._row])
-
-    @rank.setter
-    def rank(self, value: int) -> None:
-        self._backing.adv_rank[self._row] = value
-
-    @property
-    def preferred_parent(self) -> Optional[int]:
-        return self._preferred_parent
-
-    @preferred_parent.setter
-    def preferred_parent(self, value: Optional[int]) -> None:
-        self._preferred_parent = value
-        # The joined flag is a pure function of (is_root, parent); keeping it
-        # in the store lets the kernel bulk-scan membership without touching
-        # engine objects.
-        self._backing.joined[self._row] = 1 if (self.is_root or value is not None) else 0
-
-    def bind_state(self, store: NodeStateStore, row: int) -> None:
-        """Move the advertised-rank / joined columns onto ``store[row]``."""
-        bind_backing(self, store, row, ("adv_rank", "joined"))
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -36,6 +36,22 @@ def make_result(engine, plan, acked=True, collided=False):
     return TransmissionResult(intent=intent, delivered=acked, acked=acked, collided=collided)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("dwell", [0, -3, 2.5])
+    def test_scan_dwell_must_be_a_positive_integer(self, dwell):
+        with pytest.raises(ValueError, match="scan_dwell_slots"):
+            TschConfig(scan_dwell_slots=dwell)
+
+    @pytest.mark.parametrize("timeout", [-0.5, math.nan, math.inf])
+    def test_desync_timeout_must_be_finite_and_non_negative(self, timeout):
+        with pytest.raises(ValueError, match="desync_timeout_s"):
+            TschConfig(desync_timeout_s=timeout)
+
+    def test_defaults_and_boundaries_accepted(self):
+        TschConfig()
+        TschConfig(scan_dwell_slots=1, desync_timeout_s=0.0)
+
+
 class TestSlotframeManagement:
     def test_add_and_get_slotframe(self):
         engine = make_engine()
@@ -404,6 +420,20 @@ class TestScheduleProfile:
         # Settling again for the same ASN is a no-op.
         engine.settle_duty_cycle(24)
         assert meter.total_slots == 24
+
+    def test_fused_slot_accounting_lands_on_the_meter(self):
+        """A standalone engine's eager TX/RX credits settle the deferred
+        window first, then record the busy slot on its own meter."""
+        engine = self._engine_with_frames()
+        meter = engine.duty_cycle
+        engine.account_tx_slot(24)
+        assert (meter.tx_slots, meter.idle_listen_slots, meter.sleep_slots) == (1, 10, 14)
+        assert meter.total_slots == 25
+        assert engine.duty_accounted_asn == 25
+        engine.account_rx_frame_slot(25)
+        assert (meter.rx_slots, meter.idle_listen_slots, meter.total_slots) == (11, 10, 26)
+        assert engine.duty_accounted_asn == 26
+        assert meter.radio_on_slots == meter.tx_slots + meter.rx_slots == 12
 
 
 class TestIdleListenMemo:

@@ -628,36 +628,31 @@ class TestContentionPruning:
         assert network._next_risky_asn(1, 10_000) == 7
 
 
-class TestSoaEquivalence:
-    """Struct-of-arrays bulk kernel: SoA-on vs SoA-off vs the reference loop.
+class TestScenarioFamilyEquivalence:
+    """Fast kernel vs the reference loop across the sweep scenario families.
 
-    Node state always lives in the :class:`repro.kernel.state.NodeStateStore`
-    columns (the views guarantee coherence by construction); the ``soa`` flag
-    only gates the *bulk* array paths of the dispatch kernel -- masked
-    duty-cycle settlement, batched broadcast rx accounting.  All three legs
-    must finalize bit-identical metrics, clocks, medium counters and per-node
-    MAC stats on every scenario family.
+    Fig. 8 load cells, scale cells and churn cells must finalize
+    bit-identical metrics, clocks, medium counters and per-node MAC stats:
+    the kernel's deferred duty-cycle settlement and its eager per-receiver
+    frame accounting must credit exactly what the per-slot loop records.
     """
 
-    def _assert_triple(self, runs):
-        (soa_net, soa), (off_net, off), (ref_net, ref) = runs
-        assert dataclasses.asdict(soa) == dataclasses.asdict(off)
-        assert dataclasses.asdict(soa) == dataclasses.asdict(ref)
-        assert soa_net.clock.asn == off_net.clock.asn == ref_net.clock.asn
-        for other in (off_net, ref_net):
-            assert soa_net.medium.total_transmissions == other.medium.total_transmissions
-            assert soa_net.medium.total_collisions == other.medium.total_collisions
-            for node_id in soa_net.nodes:
-                assert dataclasses.asdict(soa_net.nodes[node_id].tsch.stats) == (
-                    dataclasses.asdict(other.nodes[node_id].tsch.stats)
-                )
+    def _assert_pair(self, runs):
+        (fast_net, fast), (ref_net, ref) = runs
+        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+        assert fast_net.clock.asn == ref_net.clock.asn
+        assert fast_net.medium.total_transmissions == ref_net.medium.total_transmissions
+        assert fast_net.medium.total_collisions == ref_net.medium.total_collisions
+        for node_id in fast_net.nodes:
+            assert dataclasses.asdict(fast_net.nodes[node_id].tsch.stats) == (
+                dataclasses.asdict(ref_net.nodes[node_id].tsch.stats)
+            )
 
-    def _triple(self, make_scenario):
-        def run(fast, soa):
+    def _pair(self, make_scenario):
+        def run(fast):
             scenario = make_scenario()
             network = scenario.build_network()
             network.fast = fast
-            network.soa = soa
             metrics = network.run_experiment(
                 warmup_s=scenario.warmup_s,
                 measurement_s=scenario.measurement_s,
@@ -666,13 +661,13 @@ class TestSoaEquivalence:
             )
             return network, metrics
 
-        return run(True, True), run(True, False), run(False, True)
+        return run(True), run(False)
 
     @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_fig8_load_bit_identical(self, scheduler, seed):
-        self._assert_triple(
-            self._triple(
+        self._assert_pair(
+            self._pair(
                 lambda: traffic_load_scenario(
                     rate_ppm=60.0,
                     scheduler=scheduler,
@@ -688,8 +683,8 @@ class TestSoaEquivalence:
     def test_scale_bit_identical(self, scheduler, seed):
         from repro.experiments.scenarios import scale_scenario
 
-        self._assert_triple(
-            self._triple(
+        self._assert_pair(
+            self._pair(
                 lambda: scale_scenario(
                     num_nodes=30,
                     scheduler=scheduler,
@@ -703,10 +698,10 @@ class TestSoaEquivalence:
     @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_churn_bit_identical(self, scheduler, seed):
-        """All four fault classes mutate mid-run; the bulk paths must still
-        settle through the same barriers as the per-object code."""
-        self._assert_triple(
-            self._triple(
+        """All four fault classes mutate mid-run; the deferred accounting
+        must settle through the same barriers as the per-slot loop."""
+        self._assert_pair(
+            self._pair(
                 lambda: churn_scenario(
                     num_crashes=1,
                     scheduler=scheduler,
@@ -717,10 +712,6 @@ class TestSoaEquivalence:
                 )
             )
         )
-
-    def test_soa_flag_defaults_on(self):
-        assert Network().soa is True
-        assert Network(soa=False).soa is False
 
 
 class TestRankMemoEquivalence:
@@ -745,7 +736,6 @@ class TestRankMemoEquivalence:
             )
             network = scenario.build_network()
             if not memo:
-                network.rank_memo = False
                 for node in network.nodes.values():
                     node.rpl.memo_enabled = False
             metrics = network.run_experiment(
@@ -778,14 +768,3 @@ class TestRankMemoEquivalence:
         # Never more work than the escape hatch (strictly less whenever the
         # scenario re-advertises anything, e.g. every minimal/GT-TSCH run).
         assert memo_scores <= plain_scores
-
-    def test_network_escape_hatch_flag(self):
-        assert Network().rank_memo is True
-        network = Network(rank_memo=False)
-        node = network.add_node(
-            1,
-            position=(0.0, 0.0),
-            scheduler=MinimalScheduler(MinimalSchedulerConfig()),
-            is_root=True,
-        )
-        assert node.rpl.memo_enabled is False

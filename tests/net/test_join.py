@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenarios import GT_TSCH, MINIMAL, join_scenario
+from repro.experiments.scenarios import GT_TSCH, MINIMAL, ContikiConfig, join_scenario
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE
 
 
@@ -150,3 +150,22 @@ class TestDesync:
         node._last_heard_s = network.events.now - 1.0
         node._keepalive_check()
         assert not node.tsch.scanning
+
+
+class TestInvalidJoinConfig:
+    """Bad scan/keepalive knobs fail when the network is built, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"contiki": ContikiConfig(scan_dwell_slots=0)}, "scan_dwell_slots"),
+            ({"desync_timeout_s": -1.0}, "desync_timeout_s"),
+            ({"desync_timeout_s": float("nan")}, "desync_timeout_s"),
+            ({"desync_timeout_s": float("inf")}, "desync_timeout_s"),
+        ],
+        ids=["zero-dwell", "negative-timeout", "nan-timeout", "inf-timeout"],
+    )
+    def test_rejected_at_build(self, kwargs, field):
+        scenario = join_scenario(9, MINIMAL, **kwargs)
+        with pytest.raises(ValueError, match=field):
+            scenario.build_network()

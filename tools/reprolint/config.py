@@ -61,12 +61,6 @@ def _default_versioned_classes() -> dict[str, VersionedClass]:
         "RplEngine": VersionedClass(
             tracked_fields=("neighbors", "children"), bump_names=("_memo_inputs",)
         ),
-        # Column growth reallocates the struct-of-arrays buffers; cached raw
-        # column references are invalid across a layout_version bump, so
-        # every capacity change must advertise one.
-        "NodeStateStore": VersionedClass(
-            tracked_fields=("_capacity",), bump_names=("layout_version",)
-        ),
     }
 
 
@@ -108,7 +102,6 @@ class LintConfig:
         "repro/phy/",
         "repro/sim/",
         "repro/faults/",
-        "repro/kernel/",
         "repro/schedulers/",
     )
     #: Zero-argument methods known (cross-module) to return a set/frozenset.
@@ -159,7 +152,6 @@ class LintConfig:
         "repro/net/packet.py",
         "repro/phy/dynamic.py",
         "repro/sim/events.py",
-        "repro/kernel/state.py",
         "repro/schedulers/msf.py",
         "repro/schedulers/debras.py",
         "repro/schedulers/otf.py",
@@ -177,7 +169,6 @@ class LintConfig:
         "repro/mac/tsch.py",
         "repro/mac/csma.py",
         "repro/net/network.py",
-        "repro/kernel/state.py",
     )
     #: Attribute names of integer duty-cycle / CSMA settlement counters.
     int_counter_attrs: frozenset[str] = frozenset(
