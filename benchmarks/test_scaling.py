@@ -58,6 +58,7 @@ the kernel-speed benchmark.)
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -153,6 +154,7 @@ def _run_phases_once(num_nodes: int, scheduler: str, fast: bool):
     network.fast = fast
     network.start()
     started = time.perf_counter()
+    cpu_started = time.process_time()
     network.run_seconds(WARMUP_S)
     warm_done = time.perf_counter()
     warm_asn = network.clock.asn
@@ -166,6 +168,7 @@ def _run_phases_once(num_nodes: int, scheduler: str, fast: bool):
     network.run_seconds(DRAIN_S)
     metrics = network.metrics.finalize(network.nodes.values(), network.clock.now, scheduler)
     finished = time.perf_counter()
+    cpu_s = time.process_time() - cpu_started
     steady_slots = network.clock.asn - warm_asn
     return {
         "metrics": metrics,
@@ -174,6 +177,7 @@ def _run_phases_once(num_nodes: int, scheduler: str, fast: bool):
         "total_slots_per_s": network.clock.asn / (finished - started),
         "stepped_slots": network.stepped_slots,
         "elapsed_s": finished - started,
+        "cpu_s": cpu_s,
     }
 
 
@@ -348,6 +352,11 @@ FLATNESS_REPEATS = 2
 #: growth at "linear in participants, with headroom" -- it exists to catch
 #: superlinear regressions (an accidental O(N^2) scan would push the ratio
 #: past ~25x), not to certify O(1) dispatch.
+#:
+#: The cost is the process CPU time of the run, not its wall-clock time, and
+#: each run starts after a full collection: time this process spends
+#: descheduled on a shared host, or collecting the previous run's network,
+#: is not per-slot work, and it landed on one side of the ratio at random.
 FLATNESS_RATIO_MAX = 8.0
 
 
@@ -357,13 +366,14 @@ def test_flatness_large_n():
     best: dict[int, dict] = {}
     for num_nodes in (FLATNESS_SMALL_N, FLATNESS_LARGE_N):
         for _ in range(FLATNESS_REPEATS):
+            gc.collect()
             run = _run_phases_once(num_nodes, FLATNESS_SCHEDULER, fast=True)
             kept = best.get(num_nodes)
-            if kept is None or run["elapsed_s"] < kept["elapsed_s"]:
+            if kept is None or run["cpu_s"] < kept["cpu_s"]:
                 best[num_nodes] = run
 
     def us_per_stepped(run: dict) -> float:
-        return 1e6 * run["elapsed_s"] / max(1, run["stepped_slots"])
+        return 1e6 * run["cpu_s"] / max(1, run["stepped_slots"])
 
     small = us_per_stepped(best[FLATNESS_SMALL_N])
     large = us_per_stepped(best[FLATNESS_LARGE_N])
@@ -399,8 +409,8 @@ def test_flatness_large_n():
         "ratio": round(ratio, 2),
         "ratio_max": FLATNESS_RATIO_MAX,
         "note": (
-            "fast kernel only (reference loop infeasible at N=1000); ratio "
-            "grows with N because shared schedule residues keep every DODAG "
+            "fast kernel only (reference loop infeasible at N=1000); process "
+            "CPU time per stepped slot; ratio grows with N because shared schedule residues keep every DODAG "
             "active in the same stepped slots -- see FLATNESS_RATIO_MAX"
         ),
     }
